@@ -55,7 +55,7 @@ class RunConfig:
     fix_axis: Optional[str] = None
     fix_value: float = 0.0
     ranges: dict = field(default_factory=dict)
-    resolution: int = 800
+    resolution: Optional[int] = None  # None: the spec's own default
     eta: float = 0.0
     mode: topology.Mode = topology.Mode.STRICT_SIMPLE
     box: bool = False
@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_grid_flags(p):
         p.add_argument("--range", action="append", default=[], metavar="AXIS=MIN:MAX")
-        p.add_argument("--res", type=int, default=800)
+        p.add_argument("--res", type=int, default=None,
+                       help="samples per axis (default: 800 for slices, 160 for --box)")
         p.add_argument("--eta", type=float, default=0.0)
         p.add_argument("--mode", choices=["strict", "real"], default="strict")
 
@@ -151,7 +152,7 @@ def config_from_args(args) -> RunConfig:
     for name in ("a", "b", "c", "eta", "out", "svg", "seed"):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name if name != "svg" else "svg", getattr(args, name))
-    if getattr(args, "res", None):
+    if getattr(args, "res", None) is not None:
         cfg.resolution = args.res
     if getattr(args, "mode", None):
         cfg.mode = topology.Mode.REAL_ONLY if args.mode == "real" else topology.Mode.STRICT_SIMPLE
@@ -248,6 +249,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
+def _resolution(cfg: RunConfig, spec_cls) -> int:
+    return spec_cls.resolution if cfg.resolution is None else cfg.resolution
+
+
 def _slice_spec(cfg: RunConfig, fixed_axis: str, fixed_value: float) -> topology.SliceSpec:
     fu, fv = topology.free_axes(fixed_axis)
     return topology.SliceSpec(
@@ -255,7 +260,7 @@ def _slice_spec(cfg: RunConfig, fixed_axis: str, fixed_value: float) -> topology
         fixed_value=fixed_value,
         u_range=cfg.ranges.get(fu),
         v_range=cfg.ranges.get(fv),
-        resolution=cfg.resolution,
+        resolution=_resolution(cfg, topology.SliceSpec),
         eta=cfg.eta,
         mode=cfg.mode,
     )
@@ -318,7 +323,7 @@ def cmd_components(cfg: RunConfig) -> int:
             a_range=cfg.ranges.get("a", topology.DEFAULT_RANGES["a"]),
             b_range=cfg.ranges.get("b", topology.DEFAULT_RANGES["b"]),
             c_range=cfg.ranges.get("c", topology.DEFAULT_RANGES["c"]),
-            resolution=cfg.resolution if cfg.resolution != 800 else 160,
+            resolution=_resolution(cfg, topology.BoxSpec),
             eta=cfg.eta,
             mode=cfg.mode,
             factors=cfg.factors,

@@ -88,10 +88,6 @@ def eigenpairs(H):
     return vals, vecs
 
 
-def classify_point_values(values) -> SpectralClass:
-    return classify_values(values).classification
-
-
 def in_domain_oracle(p: PointLike) -> bool:
     """True iff the sampled Hamiltonian has a real, non-degenerate spectrum."""
     return eigenvalues(build_circular(as_point(p))).classification is SpectralClass.REAL_SIMPLE

@@ -3,29 +3,37 @@
 Each discriminant restricted to a line is a polynomial of degree <= 4 in the
 line parameter t.  Connectivity decisions need the sign of its minimum over
 [0, 1], which endpoint sampling cannot provide near pinch points where a
-factor has a sign-non-changing double zero.  The fast path interpolates the
-restriction's coefficients exactly (five nodes, rational inverse Vandermonde)
-and minimizes through the derivative's real roots; whenever the computed
-minimum lands inside a rounding-sized band around the threshold, the decision
-is replayed in exact rational arithmetic (floats are dyadic rationals, so the
-restriction coefficients are exactly representable) with a Sturm root count.
+factor has a sign-non-changing double zero.  A decision takes up to three
+stages, each run only on the segments the one before left open:
+
+1. Bernstein certificate.  The factor is evaluated once at five nodes and the
+   samples are mapped to the restriction's Bernstein coefficients on [0, 1]
+   (exact rational 5x5 inverse).  The polynomial lies in the convex hull of
+   its coefficients, so a smallest coefficient above eta plus a proven
+   rounding margin (`certificate_margin`) accepts the segment.
+2. Float minimum.  The same samples give the monomial coefficients (rational
+   inverse Vandermonde), minimized through the derivative's real roots.
+3. Exact replay.  Whenever the computed minimum lands inside a rounding-sized
+   band around the threshold, the decision is replayed in exact rational
+   arithmetic (floats are dyadic rationals, so the restriction coefficients
+   are exactly representable) with a Sturm root count.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 FACTOR_NAMES = ("W", "Q", "P")
 
-# exact inverse Vandermonde for the nodes 0, 1/4, 1/2, 3/4, 1
+NODES = tuple(Fraction(i, 4) for i in range(5))
 
 
-def _inverse_vandermonde():
-    nodes = [Fraction(i, 4) for i in range(5)]
-    M = [[t ** k for k in range(5)] for t in nodes]
-    n = 5
-    A = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
+def _exact_inverse(M):
+    """Gauss-Jordan inverse of a square matrix of Fractions."""
+    n = len(M)
+    A = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
     for col in range(n):
         piv = next(r for r in range(col, n) if A[r][col] != 0)
         A[col], A[piv] = A[piv], A[col]
@@ -35,10 +43,37 @@ def _inverse_vandermonde():
             if r != col and A[r][col] != 0:
                 f = A[r][col]
                 A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return np.array([[float(x) for x in row[n:]] for row in A])
+    return [row[n:] for row in A]
 
 
-VINV = _inverse_vandermonde()
+def _as_float(M):
+    return np.array([[float(x) for x in row] for row in M])
+
+
+# samples at NODES -> ascending monomial coefficients
+VINV = _as_float(_exact_inverse([[t ** k for k in range(5)] for t in NODES]))
+
+# samples at NODES -> Bernstein coefficients of degree 4 on [0, 1]
+_BERN_INV = _exact_inverse([[comb(4, k) * t ** k * (1 - t) ** (4 - k) for k in range(5)]
+                            for t in NODES])
+BERN_INV = _as_float(_BERN_INV)
+BERN_ROWSUM = float(max(sum(abs(x) for x in row) for row in _BERN_INV))
+
+# Rounding margin of the certificate, derived for round-to-nearest doubles
+# (unit roundoff u = 2^-53).  For one segment let R be its largest
+# |coordinate| and M = factor_magnitude(name, R):
+#   * each evaluation point p0 + t (p1 - p0) is off by <= 5u R per coordinate
+#     (three roundings); a degree <= 4 polynomial bounded termwise by M moves
+#     by <= 4 M (5u R) / R = 20u M under that (Euler's identity);
+#   * `factor_values` is at most 6 operations deep: gamma_6 M ~ 6u M;
+#   so every sample is within 27u M of the exact value (O(u^2) included);
+#   * B^-1 amplifies sample errors by at most its largest absolute row sum,
+#     BERN_ROWSUM = 137/9 ~ 15.2; storing its non-dyadic entries (-13/12,
+#     4/3, 13/18, 32/9, 20/3) costs u and the 5-term dot products gamma_5,
+#     each times BERN_ROWSUM * max|sample| <= BERN_ROWSUM * M.
+# Total: 33u * BERN_ROWSUM * M.  The margin takes 40u * BERN_ROWSUM * (M + eta),
+# whose excess covers rounding eta + margin and M themselves.
+_CERT_UNITS = 40.0 * BERN_ROWSUM * 2.0 ** -53
 
 
 def factor_values(name: str, a, b, c):
@@ -49,6 +84,29 @@ def factor_values(name: str, a, b, c):
     if name == "P":
         return 10 - a * a - 2 * (b * b) - c * c
     raise ValueError(f"unknown factor {name!r}")
+
+
+def factor_magnitude(name: str, r):
+    """`factor_values` with every term made positive, at |a| = |b| = |c| = r.
+
+    Throughout the cube |a|, |b|, |c| <= r it bounds |factor|, every
+    intermediate of its evaluation, and r * |gradient|_1 / 4 (Euler's
+    identity, degree <= 4).
+    """
+    r2 = r * r
+    if name == "W":
+        return (8 + 2 * r2) ** 2 + 4 * (16 + 4 * r2) * r2
+    if name == "Q":
+        return ((r + 3) * (r + 1) + r2) ** 2
+    if name == "P":
+        return 10 + 4 * r2
+    raise ValueError(f"unknown factor {name!r}")
+
+
+def certificate_margin(name: str, p0: np.ndarray, p1: np.ndarray, eta: float) -> np.ndarray:
+    """Bound on |float - exact| Bernstein coefficients, plus eta's rounding."""
+    r = np.maximum(np.abs(p0), np.abs(p1)).max(axis=-1)
+    return _CERT_UNITS * (factor_magnitude(name, r) + eta)
 
 
 # ---------------------------------------------------------------------------
@@ -119,23 +177,23 @@ def cubic_real_roots(d3, d2, d1, d0) -> np.ndarray:
 # float minimization of the restrictions
 # ---------------------------------------------------------------------------
 
-def restriction_coefficients(name: str, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """Ascending coefficients (5, n) of the factor along p0 + t (p1 - p0)."""
+def restriction_samples(name: str, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """Factor values (5, n) at the NODES of p0 + t (p1 - p0)."""
     d = p1 - p0
     g = np.empty((5,) + p0.shape[:-1])
-    for i in range(5):
-        t = i / 4.0
-        pt = p0 + t * d
+    for i, t in enumerate(NODES):
+        pt = p0 + float(t) * d
         g[i] = factor_values(name, pt[..., 0], pt[..., 1], pt[..., 2])
-    return np.tensordot(VINV, g, axes=(1, 0))
+    return g
 
 
-def segment_minimum(name: str, p0: np.ndarray, p1: np.ndarray):
+def segment_minimum(name: str, p0: np.ndarray, p1: np.ndarray, samples=None):
     """Minimum of the restriction over [0,1] for stacked segments.
 
     Returns (min, argmin t, coefficient scale, decided) where decided is
     +1/-1 when the sign question `min > eta for any eta >= 0` is settled
     structurally and 0 when it is left to the caller's tolerance band.
+    `samples` is `restriction_samples(name, p0, p1)` when the caller has it.
     Segments lying in the b = 0 plane get a dedicated branch for W, which is
     there the square of a quadratic: a sign change of the quadratic means the
     minimum is exactly zero (a touch), settled as -1 without exact work.
@@ -190,8 +248,9 @@ def segment_minimum(name: str, p0: np.ndarray, p1: np.ndarray):
 
     rest = ~special
     if rest.any():
-        r0, r1 = p0[rest], p1[rest]
-        coeffs = restriction_coefficients(name, r0, r1)
+        if samples is None:
+            samples = restriction_samples(name, p0, p1)
+        coeffs = np.tensordot(VINV, samples[:, rest], axes=(1, 0))
         k0, k1, k2, k3, k4 = coeffs
         roots = cubic_real_roots(4 * k4, 3 * k3, 2 * k2, k1)
         g0 = k0
@@ -366,9 +425,12 @@ def exact_positive_on_segment(name: str, p0, p1, eta: float) -> bool:
 # combined decision for stacked segments
 # ---------------------------------------------------------------------------
 
-def factor_positive_mask(name: str, p0: np.ndarray, p1: np.ndarray, eta: float):
-    """(ok, minimum, argmin) of `factor > eta throughout` for stacked segments."""
-    m, arg, scale, decided = segment_minimum(name, p0, p1)
+def minimum_decision(name: str, p0: np.ndarray, p1: np.ndarray, eta: float, samples=None):
+    """(ok, minimum, argmin) of `factor > eta throughout` from the float minimum.
+
+    Decisions inside the rounding band around eta are replayed exactly.
+    """
+    m, arg, scale, decided = segment_minimum(name, p0, p1, samples)
     safety = 1e-12 * (1.0 + scale)
     ok = (decided == 0) & (m > eta + safety)
     fail = (decided == -1) | ((decided == 0) & (m < eta - safety))
@@ -376,6 +438,27 @@ def factor_positive_mask(name: str, p0: np.ndarray, p1: np.ndarray, eta: float):
     ambiguous = ~ok & ~fail
     for i in np.nonzero(ambiguous)[0]:
         ok[i] = exact_positive_on_segment(name, tuple(p0[i]), tuple(p1[i]), eta)
+    return ok, m, arg
+
+
+def factor_positive_mask(name: str, p0: np.ndarray, p1: np.ndarray, eta: float):
+    """(ok, minimum, argmin) of `factor > eta throughout` for stacked segments.
+
+    Segments the Bernstein certificate accepts report the smallest Bernstein
+    coefficient as `minimum` (a lower bound, not the minimum) and NaN as
+    `argmin`; the others carry the float minimum and its minimizer, which
+    callers read on rejected segments.
+    """
+    p0 = np.asarray(p0, float)
+    p1 = np.asarray(p1, float)
+    g = restriction_samples(name, p0, p1)
+    m = np.tensordot(BERN_INV, g, axes=(1, 0)).min(axis=0)
+    ok = m > eta + certificate_margin(name, p0, p1, eta)
+    arg = np.full(len(m), np.nan)
+    rest = np.nonzero(~ok)[0]
+    if len(rest):
+        ok[rest], m[rest], arg[rest] = minimum_decision(name, p0[rest], p1[rest], eta,
+                                                        g[:, rest])
     return ok, m, arg
 
 

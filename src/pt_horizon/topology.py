@@ -394,17 +394,12 @@ def _canonical_labels(labels: np.ndarray) -> np.ndarray:
     """Relabel so ids follow first encounter in row-major order."""
     flat = labels.ravel()
     out = -np.ones_like(flat)
-    mapping = {}
-    member_positions = np.nonzero(flat >= 0)[0]
-    for pos in member_positions:
-        lbl = flat[pos]
-        if lbl not in mapping:
-            mapping[lbl] = len(mapping)
-    if mapping:
-        table = np.empty(max(mapping) + 1, np.int64)
-        for old, new in mapping.items():
-            table[old] = new
-        out[member_positions] = table[flat[member_positions]]
+    members = np.nonzero(flat >= 0)[0]
+    if len(members):
+        old, first = np.unique(flat[members], return_index=True)
+        table = np.empty(old[-1] + 1, np.int64)
+        table[old[np.argsort(first)]] = np.arange(len(old))
+        out[members] = table[flat[members]]
     return out.reshape(labels.shape)
 
 

@@ -2,9 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from pt_horizon import cli
+from pt_horizon import cli, topology
 
 
 def run(capsys, *argv):
@@ -160,6 +161,25 @@ class TestComponents:
     def test_resolution_guard(self, capsys):
         code, _, err = run(capsys, "components", "--box", "--res", "4000")
         assert code == 2
+
+    def test_res_reaches_spec_unchanged(self, capsys, monkeypatch):
+        seen = []
+
+        def fake(spec):
+            seen.append(spec.resolution)
+            return topology.ComponentReport(count=0, labels=-np.ones(1, np.int64))
+
+        monkeypatch.setattr(topology, "components3d", fake)
+        monkeypatch.setattr(topology, "components2d", lambda grid: fake(grid.spec))
+        monkeypatch.setattr(topology, "sample_slice",
+                            lambda spec: topology.SliceGrid(spec, *(None,) * 6))
+        for argv, expect in [(("--box", "--res", "800"), 800), (("--box",), 160),
+                             (("--fix", "c=0"), 800), (("--fix", "c=0", "--res", "160"), 160)]:
+            assert run(capsys, "components", *argv)[0] == 0
+            assert seen.pop() == expect, argv
+
+    def test_res_zero_rejected(self, capsys):
+        assert run(capsys, "components", "--fix", "c=0", "--res", "0")[0] == 2
 
 
 class TestSweep:

@@ -1,10 +1,15 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
-from pt_horizon import segments
-from pt_horizon.segments import (cubic_real_roots, exact_positive_on_segment,
-                                 exact_restriction, factor_values,
-                                 restriction_coefficients, segment_minimum,
+from pt_horizon import SliceSpec, sample_slice, segments
+from pt_horizon.segments import (BERN_INV, VINV, certificate_margin,
+                                 cubic_real_roots, exact_positive_on_segment,
+                                 exact_restriction, factor_positive_mask,
+                                 factor_values, minimum_decision,
+                                 restriction_samples, segment_minimum,
                                  segments_all_positive)
 
 rng = np.random.default_rng(42)
@@ -41,7 +46,7 @@ class TestRestriction:
         p0 = rng.uniform(-3, 3, (200, 3))
         p1 = p0 + rng.uniform(-0.5, 0.5, (200, 3))
         for name in segments.FACTOR_NAMES:
-            coeffs = restriction_coefficients(name, p0, p1)
+            coeffs = np.tensordot(VINV, restriction_samples(name, p0, p1), axes=(1, 0))
             for t in (0.0, 0.3, 0.77, 1.0):
                 pt = p0 + t * (p1 - p0)
                 direct = factor_values(name, pt[:, 0], pt[:, 1], pt[:, 2])
@@ -53,7 +58,7 @@ class TestRestriction:
         p0 = rng.uniform(-2, 2, (20, 3))
         p1 = p0 + rng.uniform(-0.4, 0.4, (20, 3))
         for name in segments.FACTOR_NAMES:
-            coeffs = restriction_coefficients(name, p0, p1)
+            coeffs = np.tensordot(VINV, restriction_samples(name, p0, p1), axes=(1, 0))
             for k in range(20):
                 exact = exact_restriction(name, tuple(p0[k]), tuple(p1[k]))
                 exact = [float(x) for x in exact] + [0.0] * (5 - len(exact))
@@ -124,3 +129,115 @@ class TestAllPositive:
         p1 = np.array([[r8 + 0.01, 0, 0], [0.1, 0, 0], [2.95, 0, 0], [2.90, 0, 0]])
         ok = segments_all_positive(p0, p1, 0.0)
         assert list(ok) == [False, True, True, False]
+
+
+def _exact_bernstein(name, p0, p1):
+    # monomial -> Bernstein on [0, 1]: b_k = sum_j C(k, j) / C(4, j) a_j
+    a = list(exact_restriction(name, p0, p1)) + [Fraction(0)] * 5
+    return [sum(Fraction(comb(k, j), comb(4, j)) * a[j] for j in range(k + 1))
+            for k in range(5)]
+
+
+def _random_segments(gen, n, scale):
+    p0 = gen.uniform(-1, 1, (n, 3)) * scale
+    p1 = p0 + gen.uniform(-1, 1, (n, 3)) * scale * 10.0 ** gen.uniform(-4, 0, (n, 1))
+    return p0, p1
+
+
+def _near_surface_segments(gen, name, n, eta):
+    """Short segments around the level set `factor = eta`, at many scales."""
+    sign = gen.choice([-1.0, 1.0], n)
+    if name == "W":
+        # b = 0 plane, where W = (8 + c^2 - a^2)^2 pinches along a^2 = 8 + c^2
+        c = gen.uniform(-2, 2, n)
+        a = np.sqrt(8 + c * c - gen.choice([-1.0, 1.0], n) * np.sqrt(eta)) * sign
+        centre = np.stack([a, np.zeros(n), c], axis=1)
+    elif name == "Q":
+        # first factor (a + 3)(c - 1) - b^2 = eta / (second factor)
+        a = gen.uniform(-2, 3, n)
+        b = gen.uniform(-2, 2, n)
+        c = np.ones(n)
+        for _ in range(4):
+            c = 1 + (b * b + eta / ((a - 3) * (c + 1) - b * b)) / (a + 3)
+        centre = np.stack([a, b, c], axis=1)
+    else:
+        # a^2 + 2 b^2 + c^2 = 10 - eta
+        d = gen.normal(size=(n, 3))
+        d /= np.sqrt(d[:, 0] ** 2 + 2 * d[:, 1] ** 2 + d[:, 2] ** 2)[:, None]
+        centre = np.sqrt(10 - eta) * d
+    off = gen.normal(size=(n, 3)) * 10.0 ** gen.uniform(-14, -1, (n, 1))
+    step = gen.normal(size=(n, 3)) * 10.0 ** gen.uniform(-12, -1, (n, 1))
+    if name == "W":
+        off[:, 1] = step[:, 1] = 0.0
+    p0 = centre + off
+    return p0, p0 + step
+
+
+class TestBernsteinCertificate:
+    @pytest.mark.parametrize("scale", [3.6, 100.0])
+    def test_rounding_within_margin(self, scale):
+        gen = np.random.default_rng(11)
+        p0, p1 = _random_segments(gen, 300, scale)
+        worst = 0.0
+        for name in segments.FACTOR_NAMES:
+            got = np.tensordot(BERN_INV, restriction_samples(name, p0, p1), axes=(1, 0))
+            margin = certificate_margin(name, p0, p1, 0.0)
+            for k in range(len(p0)):
+                exact = _exact_bernstein(name, tuple(p0[k]), tuple(p1[k]))
+                err = max(abs(Fraction(float(g)) - e) for g, e in zip(got[:, k], exact))
+                assert err < margin[k], (name, k, float(err), margin[k])
+                worst = max(worst, float(err / Fraction(float(margin[k]))))
+        assert worst > 0.0  # the comparison is not vacuous
+
+    def test_bernstein_bounds_the_restriction(self):
+        gen = np.random.default_rng(12)
+        p0, p1 = _random_segments(gen, 200, 3.0)
+        ts = np.linspace(0, 1, 101)
+        for name in segments.FACTOR_NAMES:
+            lower = np.tensordot(BERN_INV, restriction_samples(name, p0, p1),
+                                 axes=(1, 0)).min(axis=0)
+            pts = p0[:, None, :] + ts[None, :, None] * (p1 - p0)[:, None, :]
+            vals = factor_values(name, pts[..., 0], pts[..., 1], pts[..., 2]).min(axis=1)
+            assert np.all(lower <= vals + 1e-9 * (1 + np.abs(vals)))
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-4])
+    @pytest.mark.parametrize("name", segments.FACTOR_NAMES)
+    def test_certified_implies_exact_positive(self, name, eta):
+        gen = np.random.default_rng(13)
+        p0, p1 = _near_surface_segments(gen, name, 400, eta)
+        ok, m, arg = factor_positive_mask(name, p0, p1, eta)
+        certified = ok & np.isnan(arg)
+        # both outcomes occur, so the sample straddles the level set
+        assert 40 <= certified.sum() <= 360
+        for k in np.nonzero(certified)[0]:
+            assert m[k] > eta
+            assert exact_positive_on_segment(name, tuple(p0[k]), tuple(p1[k]), eta)
+
+    def test_agrees_with_minimum_path_on_random_segments(self):
+        gen = np.random.default_rng(14)
+        n = 12000
+        lo = np.array([-3.6, -2.3, -3.6])
+        p0 = gen.uniform(lo, -lo, (n, 3))
+        p0[: n // 4, 1] = 0.0       # the b = 0 plane takes W's special branch
+        d = gen.normal(size=(n, 3)) * 10.0 ** gen.uniform(-3, -0.5, (n, 1))
+        d[: n // 4, 1] = 0.0
+        p1 = p0 + d
+        self._assert_agree(p0, p1)
+
+    def test_agrees_with_minimum_path_on_slice_axis_edges(self):
+        grid = sample_slice(SliceSpec("b", 0.1, resolution=400))
+        U, V = np.meshgrid(grid.u, grid.v, indexing="ij")
+        pts = np.stack([U, np.full(U.shape, 0.1), V], axis=-1)
+        p0 = np.concatenate([pts[:-1].reshape(-1, 3), pts[:, :-1].reshape(-1, 3)])
+        p1 = np.concatenate([pts[1:].reshape(-1, 3), pts[:, 1:].reshape(-1, 3)])
+        self._assert_agree(p0, p1)
+
+    @staticmethod
+    def _assert_agree(p0, p1):
+        for name in segments.FACTOR_NAMES:
+            ok, m, arg = factor_positive_mask(name, p0, p1, 0.0)
+            ok_ref, m_ref, arg_ref = minimum_decision(name, p0, p1, 0.0)
+            assert np.array_equal(ok, ok_ref), name
+            # rejected segments carry the minimum and minimizer callers read
+            assert np.array_equal(m[~ok], m_ref[~ok])
+            assert np.array_equal(arg[~ok], arg_ref[~ok])

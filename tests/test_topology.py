@@ -7,7 +7,7 @@ from pt_horizon import (BoxSpec, CouplingPoint, InvalidInputError, Mode,
                         SliceSpec, components2d, components3d, membership,
                         sample_slice, segment_connected, trace_boundary)
 from pt_horizon.model import eval_p, eval_q, eval_w
-from pt_horizon.topology import grid_oracle_mismatches
+from pt_horizon.topology import _canonical_labels, grid_oracle_mismatches
 
 
 class TestMembership:
@@ -162,6 +162,31 @@ class TestComponents2D:
         (alo, ahi), (clo, chi) = real.components[0].bbox
         assert -3 < alo < -2.9 and 2.9 < ahi < 3
         assert -1 < clo < -0.98 and 0.98 < chi < 1
+
+
+def _canonical_labels_loop(labels):
+    # the per-member reference: ids in order of first row-major encounter
+    flat = labels.ravel()
+    out = -np.ones_like(flat)
+    mapping = {}
+    for pos in np.nonzero(flat >= 0)[0]:
+        out[pos] = mapping.setdefault(flat[pos], len(mapping))
+    return out.reshape(labels.shape)
+
+
+class TestCanonicalLabels:
+    def test_matches_loop_on_random_labels(self):
+        gen = np.random.default_rng(7)
+        for shape in [(1,), (5, 7), (30, 40), (6, 5, 4)]:
+            for n_labels in (1, 3, 50):
+                labels = gen.integers(-1, n_labels, size=shape)
+                got = _canonical_labels(labels)
+                assert got.dtype == labels.dtype
+                assert np.array_equal(got, _canonical_labels_loop(labels))
+
+    def test_no_members(self):
+        labels = -np.ones((4, 4), np.int64)
+        assert np.array_equal(_canonical_labels(labels), labels)
 
 
 class TestGridOracleAgreement:
