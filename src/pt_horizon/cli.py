@@ -59,7 +59,7 @@ class RunConfig:
     eta: float = 0.0
     mode: topology.Mode = topology.Mode.STRICT_SIMPLE
     box: bool = False
-    factors: tuple = ("W", "Q", "P")
+    factors: Optional[tuple] = None  # None: the box's own default
     out: Optional[str] = None
     svg: Optional[str] = None
     b_list: tuple = DEFAULT_SWEEP_B
@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix", default=None, metavar="AXIS=VALUE")
     p.add_argument("--box", action="store_true", help="full 3-D box")
     add_grid_flags(p)
-    p.add_argument("--factors", default="W,Q,P")
+    p.add_argument("--factors", default=None,
+                   help="comma-separated subset of W,Q,P for --box (default: all three)")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sweep", help="slice sweep over a list of b values")
@@ -165,9 +166,8 @@ def config_from_args(args) -> RunConfig:
     for spec in getattr(args, "range", []) or []:
         axis, rng = _parse_range(spec)
         cfg.ranges[axis] = rng
-    if getattr(args, "factors", None):
-        factors = tuple(f.strip().upper() for f in args.factors.split(",") if f.strip())
-        cfg.factors = factors
+    if getattr(args, "factors", None) is not None:
+        cfg.factors = tuple(f.strip().upper() for f in args.factors.split(",") if f.strip())
     if getattr(args, "b_list", None):
         try:
             cfg.b_list = tuple(float(x) for x in args.b_list.split(","))
@@ -308,6 +308,8 @@ def cmd_slice(cfg: RunConfig) -> int:
 def _report_payload(report: topology.ComponentReport) -> dict:
     return {
         "count": report.count,
+        "lower_bound": report.lower_bound,
+        "certified": report.certified,
         "components": [
             {"id": s.id, "samples": s.samples, "bbox": s.bbox, "area": s.area}
             for s in report.components
@@ -318,7 +320,10 @@ def _report_payload(report: topology.ComponentReport) -> dict:
 def cmd_components(cfg: RunConfig) -> int:
     if cfg.box == (cfg.fix_axis is not None):
         raise InvalidInputError("components needs exactly one of --fix or --box")
+    if cfg.factors is not None and not cfg.box:
+        raise InvalidInputError("--factors applies to --box only; slices use W,Q,P")
     if cfg.box:
+        factors = {} if cfg.factors is None else {"factors": cfg.factors}
         box = topology.BoxSpec(
             a_range=cfg.ranges.get("a", topology.DEFAULT_RANGES["a"]),
             b_range=cfg.ranges.get("b", topology.DEFAULT_RANGES["b"]),
@@ -326,7 +331,7 @@ def cmd_components(cfg: RunConfig) -> int:
             resolution=_resolution(cfg, topology.BoxSpec),
             eta=cfg.eta,
             mode=cfg.mode,
-            factors=cfg.factors,
+            **factors,
         )
         report = topology.components3d(box)
     else:

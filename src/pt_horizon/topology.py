@@ -8,12 +8,27 @@ axis-aligned grid edges, all offsets within a small Chebyshev radius, and a
 wider 'rescue' search around small fragments; since a positive straight
 segment is itself a path inside the domain, extra candidates can only heal
 sampling artifacts, never merge genuinely distinct components.
+
+Sign classes.  Let s = 8 + c^2 - a^2, so W = s^2 - 4 (16 - (a + c)^2) b^2.
+No point with W > 0 and P > 0 has s = 0: there, with p = a + c, we get
+a - c = 8/p and 2 p^2 P = -(p^2 - 4)(p^2 - 16) - 4 p^2 b^2, so P > 0 forces
+p^2 < 16, and then W = -4 (16 - p^2) b^2 <= 0.  On s < 0, a^2 > 8, so a
+keeps its sign as well.  Hence {s > 0}, {s < 0, a > 0} and {s < 0, a < 0}
+are unions of components, and in strict mode with W and P among the factors
+every member sample gets its class (0, 1, 2; all 0 otherwise):
+  * rescue searches only from fragments whose class holds another
+    component, and only towards samples of the same class; every skipped
+    segment would cross s = 0 and fail, so labels are the same;
+  * the number of occupied classes is a proven lower bound on the count,
+    reported as `ComponentReport.lower_bound`; `certified` says whether the
+    count meets it.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from itertools import product
 from typing import Optional
 
@@ -23,7 +38,7 @@ from scipy.sparse import csgraph
 
 from . import oracle, segments
 from .errors import InvalidInputError
-from .model import PointLike, as_point, eval_p, eval_q, eval_w
+from .model import PointLike, as_point, eval_p, eval_q, eval_w, w_b0_square_root_term
 
 AXES = ("a", "b", "c")
 DEFAULT_RANGES = {"a": (-3.6, 3.6), "b": (-2.3, 2.3), "c": (-3.6, 3.6)}
@@ -150,9 +165,19 @@ class ComponentStats:
 
 @dataclass
 class ComponentReport:
+    """Labels and per-component stats.
+
+    `lower_bound` is the number of sign classes holding a member sample, a
+    proven lower bound on the number of components; `certified` is
+    `count == lower_bound`.  Both are None where the classes do not apply
+    (RealOnly mode, or factors without both W and P).
+    """
+
     count: int
     labels: Optional[np.ndarray]
     components: list = field(default_factory=list)
+    lower_bound: Optional[int] = None
+    certified: Optional[bool] = None
 
 
 @dataclass
@@ -234,9 +259,10 @@ def segment_connected(p1: PointLike, p2: PointLike, eta: float = 0.0,
     return bool(_edges_ok(q1, q2, eta, mode)[0])
 
 
-def _edges_ok(p0: np.ndarray, p1: np.ndarray, eta: float, mode: Mode) -> np.ndarray:
+def _edges_ok(p0: np.ndarray, p1: np.ndarray, eta: float, mode: Mode,
+              factors=segments.FACTOR_NAMES) -> np.ndarray:
     ok = np.ones(p0.shape[0], bool)
-    for name in segments.FACTOR_NAMES:
+    for name in factors:
         good, m, arg = segments.factor_positive_mask(name, p0, p1, eta)
         if mode is Mode.REAL_ONLY and name == "W":
             relax = ~good & (m >= -eta - 1e-9)
@@ -248,14 +274,33 @@ def _edges_ok(p0: np.ndarray, p1: np.ndarray, eta: float, mode: Mode) -> np.ndar
     return ok
 
 
-def _edges_ok_factors(p0, p1, eta, mode, factors):
-    if tuple(factors) == segments.FACTOR_NAMES:
-        return _edges_ok(p0, p1, eta, mode)
-    ok = np.ones(p0.shape[0], bool)
-    for name in factors:
-        good, _, _ = segments.factor_positive_mask(name, p0, p1, eta)
-        ok &= good
-    return ok
+# Rounding bound of the float s = 8 + c*c - a*a (`w_b0_square_root_term`),
+# for round-to-nearest doubles (unit roundoff u = 2^-53): c*c passes through
+# three roundings (its product and both sums), 8 and a*a through two, so
+# |fl(s) - s| <= gamma_3 (8 + a^2 + c^2) with gamma_3 = 3u / (1 - 3u)
+# (Higham, ch. 3).  The bound below takes 4u times the float sum
+# 8 + a*a + c*c; that sum is at least (1 - gamma_3) times the exact one and
+# 4u (1 - gamma_3) > gamma_3, so a float |s| above it has the exact sign.
+_S_UNITS = 4.0 * 2.0 ** -53
+
+
+def _sign_classes(pts: np.ndarray) -> np.ndarray:
+    """Sign class per point (int8): 0 if s > 0, 1 if s < 0 < a, 2 if s, a < 0.
+
+    s = 8 + c^2 - a^2 is taken exactly: float values inside the rounding
+    bound are re-evaluated in rationals.  Only member samples of a strict
+    grid with W and P among the factors are passed, where s = 0 cannot
+    occur (module docstring), so an exact zero is an internal error.
+    """
+    a, c = pts[:, 0], pts[:, 2]
+    s = w_b0_square_root_term(a, c)
+    neg = s < 0
+    for i in np.nonzero(np.abs(s) <= _S_UNITS * (8 + a * a + c * c))[0]:
+        exact = 8 + Fraction(float(c[i])) ** 2 - Fraction(float(a[i])) ** 2
+        if exact == 0:
+            raise RuntimeError(f"member sample {tuple(pts[i])} lies on s = 0")
+        neg[i] = exact < 0
+    return np.where(neg, np.where(a > 0, 1, 2), 0).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +350,22 @@ class _GridComponents:
         self.n_mem = int(member.sum())
         self.idx = -np.ones(member.size, np.int64)
         self.idx[member.ravel()] = np.arange(self.n_mem)
+        # sign class per flat sample (module docstring); all 0 without the proof
+        self.classed = mode is Mode.STRICT_SIMPLE and {"W", "P"} <= set(self.factors)
+        self.cls = np.zeros(member.size, np.int8)
+        if self.classed:
+            members = np.nonzero(member.ravel())[0]
+            self.cls[members] = _sign_classes(lift(members))
+
+    def bound(self, count: int):
+        """(lower_bound, certified) for a count of this grid; Nones without classes."""
+        if not self.classed:
+            return None, None
+        lower = int(np.count_nonzero(np.bincount(self.cls[self.member.ravel()], minlength=3)))
+        return lower, count == lower
 
     def _test(self, i0, i1):
-        return _edges_ok_factors(self.lift(i0), self.lift(i1), self.eta,
-                                 self.mode, self.factors)
+        return _edges_ok(self.lift(i0), self.lift(i1), self.eta, self.mode, self.factors)
 
     def _edges_for_offsets(self, offs, label=None):
         member, shape = self.member, self.shape
@@ -341,13 +398,18 @@ class _GridComponents:
     def _rescue_edges(self, label):
         lab_flat = label.ravel()
         member = self.member.ravel()
-        sizes = np.bincount(lab_flat[member])
-        small = sizes <= RESCUE_MAX_SAMPLES
-        if not small.any():
+        cls = self.cls
+        lab_mem = lab_flat[member]
+        sizes = np.bincount(lab_mem)
+        # a certified link never leaves its sign class: search only from
+        # small fragments whose class holds another component
+        comp_cls = np.zeros(len(sizes), np.int8)
+        comp_cls[lab_mem] = cls[member]
+        shared = np.bincount(comp_cls, minlength=3)[comp_cls] > 1
+        search = (sizes <= RESCUE_MAX_SAMPLES) & shared
+        if not search.any():
             return [], []
-        src = np.nonzero(member & small[np.maximum(lab_flat, 0)] & (lab_flat >= 0))[0]
-        if len(src) == 0:
-            return [], []
+        src = np.nonzero(member & search[np.maximum(lab_flat, 0)] & (lab_flat >= 0))[0]
         src_multi = np.array(np.unravel_index(src, self.shape))
         rows, cols = [], []
         dims = np.array(self.shape)[:, None]
@@ -360,7 +422,7 @@ class _GridComponents:
                 continue
             s = src[valid]
             t = np.ravel_multi_index(tuple(tgt[:, valid]), self.shape)
-            good = member[t] & (lab_flat[t] != lab_flat[s])
+            good = member[t] & (lab_flat[t] != lab_flat[s]) & (cls[t] == cls[s])
             if not good.any():
                 continue
             s, t = s[good], t[good]
@@ -454,11 +516,14 @@ def components2d(grid: SliceGrid) -> ComponentReport:
 
     gc = _GridComponents(grid.membership, lift, spec.eta, spec.mode)
     n, labels = gc.run()
+    lower, certified = gc.bound(n)
     if labels is None:
-        return ComponentReport(count=0, labels=-np.ones(shape, np.int64))
+        return ComponentReport(count=0, labels=-np.ones(shape, np.int64),
+                               lower_bound=lower, certified=certified)
     labels = _canonical_labels(labels)
     return ComponentReport(count=n, labels=labels,
-                           components=_component_stats_2d(grid, labels))
+                           components=_component_stats_2d(grid, labels),
+                           lower_bound=lower, certified=certified)
 
 
 def components3d(box: BoxSpec) -> ComponentReport:
@@ -484,8 +549,9 @@ def components3d(box: BoxSpec) -> ComponentReport:
 
     gc = _GridComponents(member, points_fn, box.eta, box.mode, factors=box.factors)
     n, labels = gc.run()
+    lower, certified = gc.bound(n)
     if labels is None:
-        return ComponentReport(count=0, labels=None)
+        return ComponentReport(count=0, labels=None, lower_bound=lower, certified=certified)
     labels = _canonical_labels(labels)
     hs = [(r[1] - r[0]) / box.resolution for r in (box.a_range, box.b_range, box.c_range)]
     cell = hs[0] * hs[1] * hs[2]
@@ -497,7 +563,8 @@ def components3d(box: BoxSpec) -> ComponentReport:
                 (float(xs[2][kk.min()]), float(xs[2][kk.max()])))
         stats.append(ComponentStats(id=k, samples=int(len(ii)), bbox=bbox,
                                     area=float(len(ii) * cell)))
-    return ComponentReport(count=n, labels=labels, components=stats)
+    return ComponentReport(count=n, labels=labels, components=stats,
+                           lower_bound=lower, certified=certified)
 
 
 def grid_oracle_mismatches(grid: SliceGrid, margin: float = 1e-6) -> int:

@@ -147,12 +147,34 @@ class TestComponents:
         assert len(payload["components"]) == 3
         for comp in payload["components"]:
             assert set(comp) == {"id", "samples", "bbox", "area"}
+        assert payload["lower_bound"] == 3 and payload["certified"] is True
 
     def test_box_report(self, capsys):
         code, out, _ = run(capsys, "components", "--box", "--res", "48")
         assert code == 0
         payload = json.loads(out)
         assert payload["count"] == 3
+        assert payload["lower_bound"] == 3 and payload["certified"] is True
+
+    def test_factors_reach_box_only(self, capsys, monkeypatch):
+        seen = []
+
+        def fake(spec):
+            seen.append(spec.factors)
+            return topology.ComponentReport(count=0, labels=None)
+
+        monkeypatch.setattr(topology, "components3d", fake)
+        assert run(capsys, "components", "--box", "--res", "48", "--factors", "q")[0] == 0
+        assert seen.pop() == ("Q",)
+        code, out, _ = run(capsys, "components", "--box", "--res", "48")
+        assert code == 0 and seen.pop() == topology.BoxSpec().factors
+        assert json.loads(out)["lower_bound"] is None
+        assert run(capsys, "components", "--box", "--res", "48", "--factors", "")[0] == 2
+
+    def test_factors_with_fix_rejected(self, capsys):
+        code, _, err = run(capsys, "components", "--fix", "c=0", "--res", "64",
+                           "--factors", "Q")
+        assert code == 2 and "--factors" in err
 
     def test_needs_exactly_one_target(self, capsys):
         assert run(capsys, "components")[0] == 2

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 from pt_horizon import identities, model
 
@@ -100,3 +101,33 @@ class TestTampering:
         assert r.status == "Fails"
         assert r.witness is not None
         assert identities.has_failures([r])
+
+
+class TestSignClassInvariant:
+    """s = 8 + c^2 - a^2 never vanishes where W > 0 and P > 0.
+
+    On s = 0 put p = a + c; then a - c = 8/p, so a = (p + 8/p)/2 and
+    c = (p - 8/p)/2.  P is of degree 2 in (a, c) and W of degree 4, so
+    p^2 P and p^4 W are polynomials of degree <= 4 and <= 8 in p, and both
+    are of degree 2 in b: agreement on 10 values of p times 4 values of b
+    proves each identity.  `topology` builds its sign classes on them.
+    """
+
+    PS = [Fraction(k, 3) for k in range(-5, 6) if k]   # 10 nonzero values
+    BS = [Fraction(k, 2) for k in range(4)]
+
+    def points(self):
+        for p in self.PS:
+            a, c = (p + 8 / p) / 2, (p - 8 / p) / 2
+            assert a + c == p and model.w_b0_square_root_term(a, c) == 0
+            for b in self.BS:
+                yield p, a, b, c
+
+    def test_p_on_s_zero(self):
+        for p, a, b, c in self.points():
+            assert 2 * p * p * model.eval_p(a, b, c) == (
+                -(p * p - 4) * (p * p - 16) - 4 * p * p * b * b)
+
+    def test_w_on_s_zero(self):
+        for p, a, b, c in self.points():
+            assert model.eval_w(a, b, c) == -4 * (16 - p * p) * b * b

@@ -6,8 +6,10 @@ import pytest
 from pt_horizon import (BoxSpec, CouplingPoint, InvalidInputError, Mode,
                         SliceSpec, components2d, components3d, membership,
                         sample_slice, segment_connected, trace_boundary)
+from pt_horizon import topology
 from pt_horizon.model import eval_p, eval_q, eval_w
-from pt_horizon.topology import _canonical_labels, grid_oracle_mismatches
+from pt_horizon.topology import (_canonical_labels, _edges_ok, _sign_classes,
+                                 grid_centers, grid_oracle_mismatches)
 
 
 class TestMembership:
@@ -46,6 +48,14 @@ class TestSegmentConnected:
         r8 = math.sqrt(8)
         assert segment_connected((r8 - 0.01, 0, 0), (r8 + 0.01, 0, 0), 0.0,
                                  Mode.REAL_ONLY) is True
+
+    def test_real_only_heals_touch_with_factor_subset(self):
+        # a W,Q box admits W-touch samples, so its links heal touches too
+        r8 = math.sqrt(8)
+        p0 = np.array([[r8 - 0.01, 0.0, 0.0]])
+        p1 = np.array([[r8 + 0.01, 0.0, 0.0]])
+        assert _edges_ok(p0, p1, 0.0, Mode.REAL_ONLY, ("W", "Q"))[0]
+        assert not _edges_ok(p0, p1, 0.0, Mode.STRICT_SIMPLE, ("W", "Q"))[0]
 
     def test_real_only_does_not_heal_crossing(self):
         assert segment_connected((0, 0.5, 0), (0, 1.5, 0), 0.0, Mode.REAL_ONLY) is False
@@ -155,10 +165,11 @@ class TestComponents2D:
 
     def test_b0_modes(self):
         strict = components2d(sample_slice(SliceSpec("b", 0.0, resolution=200)))
-        assert strict.count == 3
+        assert (strict.count, strict.lower_bound, strict.certified) == (3, 3, True)
         real = components2d(sample_slice(SliceSpec("b", 0.0, resolution=200,
                                                    mode=Mode.REAL_ONLY)))
         assert real.count == 1
+        assert real.lower_bound is None and real.certified is None
         (alo, ahi), (clo, chi) = real.components[0].bbox
         assert -3 < alo < -2.9 and 2.9 < ahi < 3
         assert -1 < clo < -0.98 and 0.98 < chi < 1
@@ -197,18 +208,31 @@ class TestGridOracleAgreement:
         assert grid_oracle_mismatches(grid) == 0
 
 
+# the window perfbench's workloads.windows(4, 48) gives: the a ~ -3 tail
+# splits into its b > 0 and b < 0 halves between two grid layers
+SEED4_WINDOW_48 = dict(a_range=(-3.533541584164145, 3.666458415835855),
+                       b_range=(-2.29891444285529, 2.3010855571447095),
+                       c_range=(-3.5285634441438445, 3.6714365558561557))
+
+
 class TestComponents3D:
     def test_default_box_small(self):
         rep = components3d(BoxSpec(resolution=48))
-        assert rep.count == 3
+        assert (rep.count, rep.lower_bound, rep.certified) == (3, 3, True)
+
+    def test_shifted_window_reports_uncertified_count(self):
+        rep = components3d(BoxSpec(resolution=48, **SEED4_WINDOW_48))
+        assert (rep.count, rep.lower_bound, rep.certified) == (4, 3, False)
 
     def test_p_only_single_ellipsoid(self):
         rep = components3d(BoxSpec(resolution=48, factors=("P",)))
         assert rep.count == 1
+        assert rep.lower_bound is None and rep.certified is None
 
     def test_q_only_three_pieces(self):
         rep = components3d(BoxSpec(resolution=48, factors=("Q",)))
         assert rep.count == 3
+        assert rep.lower_bound is None
 
     def test_resolution_guard(self):
         with pytest.raises(InvalidInputError):
@@ -219,6 +243,85 @@ class TestComponents3D:
     def test_factor_guard(self):
         with pytest.raises(InvalidInputError):
             BoxSpec(resolution=48, factors=("X",))
+
+
+def _exact_s_sign(a, c):
+    from fractions import Fraction
+    s = 8 + Fraction(float(c)) ** 2 - Fraction(float(a)) ** 2
+    return (s > 0) - (s < 0)
+
+
+class TestSignClasses:
+    def test_exact_sign_next_to_s_zero(self):
+        # b = 0 points a few ulps around a = +-sqrt(8 + c^2), where float s
+        # is pure rounding noise
+        pts, expect = [], []
+        for c in (0.0, 0.3, -1.7, 2.9):
+            for root in (math.sqrt(8 + c * c), -math.sqrt(8 + c * c)):
+                a = root
+                for _ in range(6):
+                    a = np.nextafter(a, -np.inf)
+                for _ in range(12):
+                    sign = _exact_s_sign(a, c)
+                    if sign:
+                        pts.append((a, 0.0, c))
+                        expect.append(0 if sign > 0 else (1 if a > 0 else 2))
+                    a = np.nextafter(a, np.inf)
+        got = _sign_classes(np.array(pts))
+        assert got.dtype == np.int8
+        assert got.tolist() == expect
+        assert set(expect) == {0, 1, 2}
+
+    def test_exact_zero_is_an_error(self):
+        with pytest.raises(RuntimeError):
+            _sign_classes(np.array([[3.0, 0.0, 1.0]]))   # 8 + 1 - 9 = 0
+
+
+def _report_points(target):
+    """(labels, member points) of a SliceSpec or BoxSpec's components."""
+    if isinstance(target, SliceSpec):
+        grid = sample_slice(target)
+        rep = components2d(grid)
+        ii, jj = np.nonzero(rep.labels >= 0)
+        pts = np.array([grid.point(i, j) for i, j in zip(ii, jj)])
+    else:
+        rep = components3d(target)
+        xs = [grid_centers(r, target.resolution)
+              for r in (target.a_range, target.b_range, target.c_range)]
+        idx = np.nonzero(rep.labels >= 0)
+        pts = np.stack([x[i] for x, i in zip(xs, idx)], axis=-1)
+    return rep, pts
+
+
+# (grid, count); rescue links merge fragments at b = sqrt5 - 1 and b = 0.1
+FILTER_GRIDS = [
+    (BoxSpec(resolution=48), 3),
+    (BoxSpec(resolution=48, **SEED4_WINDOW_48), 4),
+    (SliceSpec("c", 0.0, resolution=400), 3),
+    (SliceSpec("b", 0.0, resolution=400), 3),
+    (SliceSpec("b", math.sqrt(5) - 1, resolution=300), 2),
+    (SliceSpec("b", 0.1, resolution=400), 3),
+]
+
+
+class TestRescueClassFilter:
+    @pytest.mark.parametrize("target,count", FILTER_GRIDS,
+                             ids=["box48", "box48-seed4", "c0", "b0", "b-sqrt5-1", "b0.1"])
+    def test_filter_keeps_labels(self, target, count, monkeypatch):
+        rep, pts = _report_points(target)
+        assert rep.count == count
+        # every component lies in exactly one sign class
+        cls = _sign_classes(pts)
+        lab = rep.labels[rep.labels >= 0]
+        for k in range(rep.count):
+            assert len(np.unique(cls[lab == k])) == 1
+        assert rep.lower_bound == len(np.unique(cls))
+        # all classes 0 is the unfiltered search
+        monkeypatch.setattr(topology, "_sign_classes",
+                            lambda p: np.zeros(len(p), np.int8))
+        full, _ = _report_points(target)
+        assert full.count == rep.count
+        assert np.array_equal(full.labels, rep.labels)
 
 
 class TestTraceBoundary:
