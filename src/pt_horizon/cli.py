@@ -2,7 +2,9 @@
 sweep the figure sequence, run the identity suite, and compare spectra.
 
 All artifacts are deterministic for fixed flags and seed; floats are written
-with 17 significant digits so they round-trip exactly.
+with 17 significant digits (`FLOAT_FORMAT`) so they round-trip exactly.
+Slice CSVs are streamed to their file one block of rows per u value, each
+value formatted once; the bytes are those of one row per sample.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -36,8 +39,14 @@ DEFAULT_SWEEP_B = (
 )
 
 
+FLOAT_FORMAT = "%.17g"
+CSV_HEADER = "u,v,W,Q,P,inside,component"
+# u and v arrive formatted; inside is a bool, component an int
+_CSV_ROW = f"%s,%s,{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%d,%d"
+
+
 def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return FLOAT_FORMAT % float(x)
 
 
 def fmt_complex(z: complex) -> str:
@@ -267,16 +276,23 @@ def _slice_spec(cfg: RunConfig, fixed_axis: str, fixed_value: float) -> topology
 
 
 def slice_csv_lines(grid: topology.SliceGrid, labels: np.ndarray):
-    yield "u,v,W,Q,P,inside,component"
-    res = grid.spec.resolution
-    for i in range(res):
-        for j in range(res):
-            yield ",".join((
-                fmt(grid.u[i]), fmt(grid.v[j]),
-                fmt(grid.W[i, j]), fmt(grid.Q[i, j]), fmt(grid.P[i, j]),
-                "1" if grid.membership[i, j] else "0",
-                str(int(labels[i, j])),
-            ))
+    """The header, then one newline-joined block of rows per u value.
+
+    `"\\n".join(items) + "\\n"` is the CSV file.  Rows run over v within a
+    block; each u and v is formatted once, and each row with one template.
+    """
+    yield CSV_HEADER
+    v_text = [fmt(v) for v in grid.v.tolist()]
+    columns = (grid.W.tolist(), grid.Q.tolist(), grid.P.tolist(),
+               grid.membership.tolist(), labels.tolist())
+    for u, w, q, p, inside, lab in zip(grid.u.tolist(), *columns):
+        rows = zip(repeat(fmt(u)), v_text, w, q, p, inside, lab)
+        yield "\n".join([_CSV_ROW % row for row in rows])
+
+
+def write_slice_csv(fh, grid: topology.SliceGrid, labels: np.ndarray) -> None:
+    """Write the slice CSV to an open text file as its row blocks come."""
+    fh.writelines(block + "\n" for block in slice_csv_lines(grid, labels))
 
 
 def _run_slice(cfg: RunConfig, fixed_axis: str, fixed_value: float):
@@ -292,12 +308,11 @@ def cmd_slice(cfg: RunConfig) -> int:
     if cfg.fix_axis is None:
         raise InvalidInputError("slice requires --fix axis=value")
     grid, report, labels = _run_slice(cfg, cfg.fix_axis, cfg.fix_value)
-    lines = "\n".join(slice_csv_lines(grid, labels)) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as fh:
-            fh.write(lines)
+            write_slice_csv(fh, grid, labels)
     else:
-        sys.stdout.write(lines)
+        write_slice_csv(sys.stdout, grid, labels)
     if cfg.svg:
         with open(cfg.svg, "w") as fh:
             fh.write(render_slice_svg(grid))
@@ -355,7 +370,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         stem = f"slice_b={fmt(bval)}"
         csv_path = os.path.join(cfg.out, stem + ".csv")
         with open(csv_path, "w") as fh:
-            fh.write("\n".join(slice_csv_lines(grid, labels)) + "\n")
+            write_slice_csv(fh, grid, labels)
         if cfg.svg:
             with open(os.path.join(cfg.out, stem + ".svg"), "w") as fh:
                 fh.write(render_slice_svg(grid))

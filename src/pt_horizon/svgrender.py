@@ -36,11 +36,11 @@ def render_slice_svg(grid: SliceGrid, width: int = 720) -> str:
     ii, jj = grid.membership.nonzero()
     w_cell = hu * scale
     h_cell = hv * scale
-    for i, j in zip(ii, jj):
-        x = sx(grid.u[i] - hu / 2)
-        y = sy(grid.v[j] + hv / 2)
-        parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{w_cell:.2f}" '
-                     f'height="{h_cell:.2f}"/>')
+    # x depends on i only and y on j only: format each once, join per cell
+    heads = [f'<rect x="{sx(u - hu / 2):.2f}" y="' for u in grid.u.tolist()]
+    tails = [f'{sy(v + hv / 2):.2f}" width="{w_cell:.2f}" height="{h_cell:.2f}"/>'
+             for v in grid.v.tolist()]
+    parts.extend(heads[i] + tails[j] for i, j in zip(ii.tolist(), jj.tolist()))
     parts.append("</g>")
     for name, style in _STYLES.items():
         curves = trace_boundary(spec, name)

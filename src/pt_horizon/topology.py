@@ -412,6 +412,18 @@ class _GridComponents:
         src = np.nonzero(member & search[np.maximum(lab_flat, 0)] & (lab_flat >= 0))[0]
         src_multi = np.array(np.unravel_index(src, self.shape))
         rows, cols = [], []
+        # candidates of many offsets share one _test call once they number
+        # n_mem, the size of an axis batch; every decision is per segment
+        pend_s, pend_t, pending = [], [], 0
+
+        def flush():
+            s, t = np.concatenate(pend_s), np.concatenate(pend_t)
+            ok = self._test(s, t)
+            rows.append(s[ok])
+            cols.append(t[ok])
+            pend_s.clear()
+            pend_t.clear()
+
         dims = np.array(self.shape)[:, None]
         for off in _full_offsets(self.nd, RESCUE_RADIUS):
             if max(abs(o) for o in off) <= LINK_RADIUS:
@@ -425,10 +437,14 @@ class _GridComponents:
             good = member[t] & (lab_flat[t] != lab_flat[s]) & (cls[t] == cls[s])
             if not good.any():
                 continue
-            s, t = s[good], t[good]
-            ok = self._test(s, t)
-            rows.append(s[ok])
-            cols.append(t[ok])
+            pend_s.append(s[good])
+            pend_t.append(t[good])
+            pending += len(pend_s[-1])
+            if pending >= self.n_mem:
+                flush()
+                pending = 0
+        if pend_s:
+            flush()
         return rows, cols
 
     def run(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pt_horizon import cli, topology
+from pt_horizon.svgrender import render_slice_svg
 
 
 def run(capsys, *argv):
@@ -100,7 +101,7 @@ class TestSlice:
                          "--out", str(out_csv))
         assert code == 0
         lines = out_csv.read_text().splitlines()
-        assert all(line.split(",")[5] == "0" for line in lines[1:])
+        assert all(line.split(",")[5:] == ["0", "-1"] for line in lines[1:])
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         p1 = tmp_path / "a.csv"
@@ -136,6 +137,100 @@ class TestSlice:
         rows = [l.split(",") for l in out_csv.read_text().splitlines()[1:]]
         us = sorted(set(float(r[0]) for r in rows))
         assert us[0] > -1 and us[-1] < 1
+
+
+# perfbench/workloads.windows(7, 64) for the free axes of a c = 0 slice
+SEED7_WINDOW_64 = {"a": (-3.585926760006975, 3.6140732399930253),
+                   "b": (-2.2714502580553115, 2.328549741944688)}
+SEED7_RANGES = [arg for axis, (lo, hi) in SEED7_WINDOW_64.items()
+                for arg in ("--range", f"{axis}={lo!r}:{hi!r}")]
+
+
+def reference_csv(grid, labels):
+    """The per-element writer the streamed one replaced, as the byte reference."""
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    lines = ["u,v,W,Q,P,inside,component"]
+    res = grid.spec.resolution
+    for i in range(res):
+        for j in range(res):
+            lines.append(",".join((
+                fmt(grid.u[i]), fmt(grid.v[j]),
+                fmt(grid.W[i, j]), fmt(grid.Q[i, j]), fmt(grid.P[i, j]),
+                "1" if grid.membership[i, j] else "0",
+                str(int(labels[i, j])),
+            )))
+    return "\n".join(lines) + "\n"
+
+
+def reference_rects(grid, width=720):
+    """The per-cell rect loop render_slice_svg used to run, as the reference."""
+    spec = grid.spec
+    u0, u1 = spec.u_range
+    v0, v1 = spec.v_range
+    scale = width / (u1 - u0)
+    res = spec.resolution
+    hu = (u1 - u0) / res
+    hv = (v1 - v0) / res
+    out = []
+    for i, j in zip(*grid.membership.nonzero()):
+        x = (grid.u[i] - hu / 2 - u0) * scale
+        y = (v1 - (grid.v[j] + hv / 2)) * scale
+        out.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{hu * scale:.2f}" '
+                   f'height="{hv * scale:.2f}"/>')
+    return out
+
+
+def slice_grid(argv):
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    grid, _, labels = cli._run_slice(cfg, cfg.fix_axis, cfg.fix_value)
+    return grid, labels
+
+
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+            2.2250738585072014e-308, 2.225073858507201e-308, 1e-5, 1e16, 1e17,
+            0.1, 1 / 3, -2.5, 64.0, 1.7976931348623157e308]
+
+
+class TestSliceArtifacts:
+    def test_fmt_matches_fstring(self):
+        bits = np.frombuffer(np.random.default_rng(0).bytes(8 * 100_000), np.uint64)
+        xs = bits.view(np.float64).tolist() + SPECIALS
+        assert [x for x in xs if cli.fmt(x) != f"{x:.17g}"] == []
+        assert [x for x in xs[-1000:] if cli.fmt(np.float64(x)) != f"{x:.17g}"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--fix", "b=0", "--res", "64"],
+        ["--fix", "b=0", "--res", "64", "--mode", "real"],
+        ["--fix", f"b={math.sqrt(5) - 0.01!r}", "--res", "64"],
+        ["--fix", "c=0", "--res", "64"] + SEED7_RANGES,
+    ], ids=["b0", "b0-real", "b-sqrt5-0.01", "c0-seed7"])
+    def test_csv_bytes_match_per_element_writer(self, argv, tmp_path, capsys):
+        argv = ["slice"] + argv
+        grid, labels = slice_grid(argv)
+        expect = reference_csv(grid, labels)
+        # the contract perfbench counts bytes by: header, then one block per u
+        items = list(cli.slice_csv_lines(grid, labels))
+        assert items[0] == cli.CSV_HEADER and len(items) == 1 + 64
+        # compared as line lists, which pytest reports by first difference
+        assert ("\n".join(items) + "\n").split("\n") == expect.split("\n")
+        path = tmp_path / "s.csv"
+        assert run(capsys, *argv, "--out", str(path))[0] == 0
+        assert path.read_bytes().split(b"\n") == expect.encode().split(b"\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.split("\n") == expect.split("\n")
+
+    def test_svg_rects_match_per_cell_loop(self):
+        grid, _ = slice_grid(["slice", "--fix", "c=0", "--res", "64"] + SEED7_RANGES)
+        assert (grid.spec.u_range, grid.spec.v_range) == (SEED7_WINDOW_64["a"],
+                                                          SEED7_WINDOW_64["b"])
+        lines = render_slice_svg(grid).split("\n")
+        start = lines.index('<g fill="#7fb2d9" stroke="none">') + 1
+        rects = lines[start:lines.index("</g>", start)]
+        assert 0 < len(rects) == int(grid.membership.sum())
+        assert rects == reference_rects(grid)
 
 
 class TestComponents:

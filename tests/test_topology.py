@@ -224,6 +224,29 @@ class TestComponents3D:
         rep = components3d(BoxSpec(resolution=48, **SEED4_WINDOW_48))
         assert (rep.count, rep.lower_bound, rep.certified) == (4, 3, False)
 
+    def test_rescue_batches_its_offsets(self, monkeypatch):
+        # this grid's 192 rescue candidates, spread over 94 offsets, fit in
+        # one batch of n_mem segments
+        gc_cls = topology._GridComponents
+        test, rescue = gc_cls._test, gc_cls._rescue_edges
+        calls = {"test": 0, "rescue": 0}
+
+        def counted_test(self, i0, i1):
+            calls["test"] += 1
+            return test(self, i0, i1)
+
+        def counted_rescue(self, label):
+            before = calls["test"]
+            out = rescue(self, label)
+            calls["rescue"] += calls["test"] - before
+            return out
+
+        monkeypatch.setattr(gc_cls, "_test", counted_test)
+        monkeypatch.setattr(gc_cls, "_rescue_edges", counted_rescue)
+        rep = components3d(BoxSpec(resolution=48, **SEED4_WINDOW_48))
+        assert (rep.count, rep.lower_bound, rep.certified) == (4, 3, False)
+        assert 1 <= calls["rescue"] <= 2
+
     def test_p_only_single_ellipsoid(self):
         rep = components3d(BoxSpec(resolution=48, factors=("P",)))
         assert rep.count == 1
