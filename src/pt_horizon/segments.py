@@ -6,11 +6,14 @@ line parameter t.  Connectivity decisions need the sign of its minimum over
 factor has a sign-non-changing double zero.  A decision takes up to three
 stages, each run only on the segments the one before left open:
 
-1. Bernstein certificate.  The factor is evaluated once at five nodes and the
-   samples are mapped to the restriction's Bernstein coefficients on [0, 1]
-   (exact rational 5x5 inverse).  The polynomial lies in the convex hull of
-   its coefficients, so a smallest coefficient above eta plus a proven
-   rounding margin (`certificate_margin`) accepts the segment.
+1. Bernstein certificate.  The five nodes of a batch of segments are built
+   once (`restriction_nodes`, with the radius of the rounding margin,
+   `segment_radius`) and shared by W, Q and P.  Each factor is evaluated
+   once at them and the samples are mapped to the restriction's Bernstein
+   coefficients on [0, 1] (exact rational 5x5 inverse).  The polynomial
+   lies in the convex hull of its coefficients, so a smallest coefficient
+   above eta plus a proven rounding margin (`certificate_margin`) accepts
+   the segment.
 2. Float minimum.  The same samples give the monomial coefficients (rational
    inverse Vandermonde), minimized through the derivative's real roots.
 3. Exact replay.  Whenever the computed minimum lands inside a rounding-sized
@@ -103,9 +106,17 @@ def factor_magnitude(name: str, r):
     raise ValueError(f"unknown factor {name!r}")
 
 
-def certificate_margin(name: str, p0: np.ndarray, p1: np.ndarray, eta: float) -> np.ndarray:
-    """Bound on |float - exact| Bernstein coefficients, plus eta's rounding."""
-    r = np.maximum(np.abs(p0), np.abs(p1)).max(axis=-1)
+def segment_radius(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """Largest |coordinate| of each segment's endpoints: R in the margin's analysis."""
+    m = np.maximum(np.abs(p0), np.abs(p1))
+    return np.maximum(np.maximum(m[:, 0], m[:, 1]), m[:, 2])
+
+
+def certificate_margin(name: str, r: np.ndarray, eta: float) -> np.ndarray:
+    """Bound on |float - exact| Bernstein coefficients, plus eta's rounding.
+
+    `r` is `segment_radius(p0, p1)`.
+    """
     return _CERT_UNITS * (factor_magnitude(name, r) + eta)
 
 
@@ -177,13 +188,29 @@ def cubic_real_roots(d3, d2, d1, d0) -> np.ndarray:
 # float minimization of the restrictions
 # ---------------------------------------------------------------------------
 
-def restriction_samples(name: str, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """Factor values (5, n) at the NODES of p0 + t (p1 - p0)."""
+def restriction_nodes(p0: np.ndarray, p1: np.ndarray) -> list:
+    """(a, b, c) columns of p0 + t (p1 - p0) at each of the NODES, for (n, 3) p0, p1.
+
+    A coordinate whose step is zero on every segment of the batch is p0's
+    column at every node: p0 + t * 0 differs from it at most in the sign of a
+    zero, and every factor takes its coordinates only through squares and
+    sums with nonzero constants or with one another before squaring.
+    """
     d = p1 - p0
-    g = np.empty((5,) + p0.shape[:-1])
-    for i, t in enumerate(NODES):
-        pt = p0 + float(t) * d
-        g[i] = factor_values(name, pt[..., 0], pt[..., 1], pt[..., 2])
+    cols = []
+    for k in range(3):
+        if d[:, k].any():
+            cols.append([p0[:, k] + float(t) * d[:, k] for t in NODES])
+        else:
+            cols.append([p0[:, k]] * len(NODES))
+    return list(zip(*cols))
+
+
+def restriction_samples(name: str, nodes: list) -> np.ndarray:
+    """Factor values (5, n) at `restriction_nodes(p0, p1)`."""
+    g = np.empty((len(nodes), len(nodes[0][0])))
+    for i, (a, b, c) in enumerate(nodes):
+        g[i] = factor_values(name, a, b, c)
     return g
 
 
@@ -193,7 +220,8 @@ def segment_minimum(name: str, p0: np.ndarray, p1: np.ndarray, samples=None):
     Returns (min, argmin t, coefficient scale, decided) where decided is
     +1/-1 when the sign question `min > eta for any eta >= 0` is settled
     structurally and 0 when it is left to the caller's tolerance band.
-    `samples` is `restriction_samples(name, p0, p1)` when the caller has it.
+    `samples` is `restriction_samples(name, restriction_nodes(p0, p1))` when
+    the caller has it.
     Segments lying in the b = 0 plane get a dedicated branch for W, which is
     there the square of a quadratic: a sign change of the quadratic means the
     minimum is exactly zero (a touch), settled as -1 without exact work.
@@ -249,7 +277,7 @@ def segment_minimum(name: str, p0: np.ndarray, p1: np.ndarray, samples=None):
     rest = ~special
     if rest.any():
         if samples is None:
-            samples = restriction_samples(name, p0, p1)
+            samples = restriction_samples(name, restriction_nodes(p0, p1))
         coeffs = np.tensordot(VINV, samples[:, rest], axes=(1, 0))
         k0, k1, k2, k3, k4 = coeffs
         roots = cubic_real_roots(4 * k4, 3 * k3, 2 * k2, k1)
@@ -441,9 +469,12 @@ def minimum_decision(name: str, p0: np.ndarray, p1: np.ndarray, eta: float, samp
     return ok, m, arg
 
 
-def factor_positive_mask(name: str, p0: np.ndarray, p1: np.ndarray, eta: float):
+def factor_positive_mask(name: str, p0: np.ndarray, p1: np.ndarray, eta: float,
+                         nodes=None, r=None):
     """(ok, minimum, argmin) of `factor > eta throughout` for stacked segments.
 
+    `nodes` and `r` are `restriction_nodes(p0, p1)` and `segment_radius(p0,
+    p1)`; a caller testing several factors on one batch builds them once.
     Segments the Bernstein certificate accepts report the smallest Bernstein
     coefficient as `minimum` (a lower bound, not the minimum) and NaN as
     `argmin`; the others carry the float minimum and its minimizer, which
@@ -451,26 +482,16 @@ def factor_positive_mask(name: str, p0: np.ndarray, p1: np.ndarray, eta: float):
     """
     p0 = np.asarray(p0, float)
     p1 = np.asarray(p1, float)
-    g = restriction_samples(name, p0, p1)
+    if nodes is None:
+        nodes = restriction_nodes(p0, p1)
+    if r is None:
+        r = segment_radius(p0, p1)
+    g = restriction_samples(name, nodes)
     m = np.tensordot(BERN_INV, g, axes=(1, 0)).min(axis=0)
-    ok = m > eta + certificate_margin(name, p0, p1, eta)
+    ok = m > eta + certificate_margin(name, r, eta)
     arg = np.full(len(m), np.nan)
     rest = np.nonzero(~ok)[0]
     if len(rest):
         ok[rest], m[rest], arg[rest] = minimum_decision(name, p0[rest], p1[rest], eta,
                                                         g[:, rest])
     return ok, m, arg
-
-
-def segments_all_positive(p0: np.ndarray, p1: np.ndarray, eta: float) -> np.ndarray:
-    """True where W, Q and P all stay above eta along each segment."""
-    p0 = np.atleast_2d(np.asarray(p0, float))
-    p1 = np.atleast_2d(np.asarray(p1, float))
-    ok = np.ones(p0.shape[0], bool)
-    for name in FACTOR_NAMES:
-        good, _, _ = factor_positive_mask(name, p0[ok], p1[ok], eta)
-        idx = np.nonzero(ok)[0]
-        ok[idx[~good]] = False
-        if not ok.any():
-            break
-    return ok

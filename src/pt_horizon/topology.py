@@ -7,7 +7,8 @@ straight segment between them (see `segments`).  Candidate links are the
 axis-aligned grid edges, all offsets within a small Chebyshev radius, and a
 wider 'rescue' search around small fragments; since a positive straight
 segment is itself a path inside the domain, extra candidates can only heal
-sampling artifacts, never merge genuinely distinct components.
+sampling artifacts, never merge genuinely distinct components.  The phases
+run in that order, and each merges the components the one before left.
 
 Sign classes.  Let s = 8 + c^2 - a^2, so W = s^2 - 4 (16 - (a + c)^2) b^2.
 No point with W > 0 and P > 0 has s = 0: there, with p = a + c, we get
@@ -262,8 +263,10 @@ def segment_connected(p1: PointLike, p2: PointLike, eta: float = 0.0,
 def _edges_ok(p0: np.ndarray, p1: np.ndarray, eta: float, mode: Mode,
               factors=segments.FACTOR_NAMES) -> np.ndarray:
     ok = np.ones(p0.shape[0], bool)
+    nodes = segments.restriction_nodes(p0, p1)
+    r = segments.segment_radius(p0, p1)
     for name in factors:
-        good, m, arg = segments.factor_positive_mask(name, p0, p1, eta)
+        good, m, arg = segments.factor_positive_mask(name, p0, p1, eta, nodes, r)
         if mode is Mode.REAL_ONLY and name == "W":
             relax = ~good & (m >= -eta - 1e-9)
             idx = np.nonzero(relax & ok)[0]
@@ -324,6 +327,21 @@ def _full_offsets(nd, radius):
             if any(o != 0 for o in off)]
 
 
+def _pair_indices(pair, off):
+    """Flat indices (i0, i1) of the pairs (x, x + off) that `pair` marks at x.
+
+    i0 is in row-major order, as `flat[sl0][pair[sl0]]` with
+    `flat = np.arange(pair.size).reshape(pair.shape)`.
+    """
+    i0 = np.flatnonzero(pair)
+    stride = 1
+    step = 0
+    for size, o in zip(reversed(pair.shape), reversed(off)):
+        step += o * stride
+        stride *= size
+    return i0, i0 + step
+
+
 def _offset_slices(shape, off):
     sl0, sl1 = [], []
     for k, o in enumerate(off):
@@ -368,32 +386,39 @@ class _GridComponents:
         return _edges_ok(self.lift(i0), self.lift(i1), self.eta, self.mode, self.factors)
 
     def _edges_for_offsets(self, offs, label=None):
-        member, shape = self.member, self.shape
-        flat = np.arange(member.size).reshape(shape)
+        member = self.member
+        mask = np.empty(self.shape, bool)
         rows, cols = [], []
         for off in offs:
-            sl0, sl1 = _offset_slices(shape, off)
-            pair = member[sl0] & member[sl1]
+            sl0, sl1 = _offset_slices(self.shape, off)
+            mask.fill(False)
+            pair = mask[sl0]
+            np.logical_and(member[sl0], member[sl1], out=pair)
             if label is not None:
                 pair &= label[sl0] != label[sl1]
             if not pair.any():
                 continue
-            i0 = flat[sl0][pair]
-            i1 = flat[sl1][pair]
+            i0, i1 = _pair_indices(mask, off)
             ok = self._test(i0, i1)
             rows.append(i0[ok])
             cols.append(i1[ok])
         return rows, cols
 
-    def _label(self, rows, cols):
-        r = self.idx[np.concatenate(rows)] if rows else np.array([], np.int64)
-        c = self.idx[np.concatenate(cols)] if cols else np.array([], np.int64)
-        g = sparse.coo_matrix((np.ones(len(r), np.int8), (r, c)),
-                              shape=(self.n_mem, self.n_mem))
-        n, lab = csgraph.connected_components(g.tocsr(), directed=False)
-        full = -np.ones(self.member.size, np.int64)
-        full[self.member.ravel()] = lab
-        return n, full.reshape(self.shape)
+    def _merge(self, n, label, rows, cols):
+        """(count, labels) once the links rows[k] -- cols[k] join the n components.
+
+        `label` numbers the components 0..n-1 and is -1 off the members; the
+        links are flat sample indices.  Later phases use only the partition,
+        and `_canonical_labels` renumbers it.
+        """
+        flat = label.ravel()
+        none = np.zeros(0, np.int64)
+        r = flat[np.concatenate(rows)] if rows else none
+        c = flat[np.concatenate(cols)] if cols else none
+        g = sparse.coo_matrix((np.ones(len(r), bool), (r, c)), shape=(n, n))
+        n, sub = csgraph.connected_components(g.tocsr(), directed=False)
+        # label -1 picks the appended -1
+        return n, np.append(sub.astype(np.int64), -1)[label]
 
     def _rescue_edges(self, label):
         lab_flat = label.ravel()
@@ -448,23 +473,20 @@ class _GridComponents:
         return rows, cols
 
     def run(self):
+        """(count, labels): each phase merges the components of the one before."""
         if self.n_mem == 0:
             return 0, None
         nd = self.nd
         axis_offs = [tuple(int(i == k) for i in range(nd)) for k in range(nd)]
         rows, cols = self._edges_for_offsets(axis_offs)
-        n, lab = self._label(rows, cols)
+        n, lab = self._merge(self.n_mem, self.idx.reshape(self.shape), rows, cols)
         extra = [o for o in _half_offsets(nd, LINK_RADIUS) if o not in axis_offs]
-        r2, c2 = self._edges_for_offsets(extra, label=lab)
-        if r2:
-            rows += r2
-            cols += c2
-            n, lab = self._label(rows, cols)
-        r3, c3 = self._rescue_edges(lab)
-        if r3:
-            rows += r3
-            cols += c3
-            n, lab = self._label(rows, cols)
+        rows, cols = self._edges_for_offsets(extra, label=lab)
+        if rows:
+            n, lab = self._merge(n, lab, rows, cols)
+        rows, cols = self._rescue_edges(lab)
+        if rows:
+            n, lab = self._merge(n, lab, rows, cols)
         return n, lab
 
 

@@ -4,15 +4,20 @@ from math import comb
 import numpy as np
 import pytest
 
-from pt_horizon import SliceSpec, sample_slice, segments
+from pt_horizon import Mode, SliceSpec, sample_slice, segments
 from pt_horizon.segments import (BERN_INV, VINV, certificate_margin,
                                  cubic_real_roots, exact_positive_on_segment,
                                  exact_restriction, factor_positive_mask,
                                  factor_values, minimum_decision,
-                                 restriction_samples, segment_minimum,
-                                 segments_all_positive)
+                                 restriction_nodes, restriction_samples,
+                                 segment_minimum, segment_radius)
+from pt_horizon.topology import _edges_ok
 
 rng = np.random.default_rng(42)
+
+
+def _samples(name, p0, p1):
+    return restriction_samples(name, restriction_nodes(p0, p1))
 
 
 class TestCubicRoots:
@@ -46,7 +51,7 @@ class TestRestriction:
         p0 = rng.uniform(-3, 3, (200, 3))
         p1 = p0 + rng.uniform(-0.5, 0.5, (200, 3))
         for name in segments.FACTOR_NAMES:
-            coeffs = np.tensordot(VINV, restriction_samples(name, p0, p1), axes=(1, 0))
+            coeffs = np.tensordot(VINV, _samples(name, p0, p1), axes=(1, 0))
             for t in (0.0, 0.3, 0.77, 1.0):
                 pt = p0 + t * (p1 - p0)
                 direct = factor_values(name, pt[:, 0], pt[:, 1], pt[:, 2])
@@ -58,7 +63,7 @@ class TestRestriction:
         p0 = rng.uniform(-2, 2, (20, 3))
         p1 = p0 + rng.uniform(-0.4, 0.4, (20, 3))
         for name in segments.FACTOR_NAMES:
-            coeffs = np.tensordot(VINV, restriction_samples(name, p0, p1), axes=(1, 0))
+            coeffs = np.tensordot(VINV, _samples(name, p0, p1), axes=(1, 0))
             for k in range(20):
                 exact = exact_restriction(name, tuple(p0[k]), tuple(p1[k]))
                 exact = [float(x) for x in exact] + [0.0] * (5 - len(exact))
@@ -127,7 +132,7 @@ class TestAllPositive:
         r8 = np.sqrt(8.0)
         p0 = np.array([[r8 - 0.01, 0, 0], [0, 0, 0], [2.85, 0, 0], [2.80, 0, 0]])
         p1 = np.array([[r8 + 0.01, 0, 0], [0.1, 0, 0], [2.95, 0, 0], [2.90, 0, 0]])
-        ok = segments_all_positive(p0, p1, 0.0)
+        ok = _edges_ok(p0, p1, 0.0, Mode.STRICT_SIMPLE)
         assert list(ok) == [False, True, True, False]
 
 
@@ -180,8 +185,8 @@ class TestBernsteinCertificate:
         p0, p1 = _random_segments(gen, 300, scale)
         worst = 0.0
         for name in segments.FACTOR_NAMES:
-            got = np.tensordot(BERN_INV, restriction_samples(name, p0, p1), axes=(1, 0))
-            margin = certificate_margin(name, p0, p1, 0.0)
+            got = np.tensordot(BERN_INV, _samples(name, p0, p1), axes=(1, 0))
+            margin = certificate_margin(name, segment_radius(p0, p1), 0.0)
             for k in range(len(p0)):
                 exact = _exact_bernstein(name, tuple(p0[k]), tuple(p1[k]))
                 err = max(abs(Fraction(float(g)) - e) for g, e in zip(got[:, k], exact))
@@ -194,7 +199,7 @@ class TestBernsteinCertificate:
         p0, p1 = _random_segments(gen, 200, 3.0)
         ts = np.linspace(0, 1, 101)
         for name in segments.FACTOR_NAMES:
-            lower = np.tensordot(BERN_INV, restriction_samples(name, p0, p1),
+            lower = np.tensordot(BERN_INV, _samples(name, p0, p1),
                                  axes=(1, 0)).min(axis=0)
             pts = p0[:, None, :] + ts[None, :, None] * (p1 - p0)[:, None, :]
             vals = factor_values(name, pts[..., 0], pts[..., 1], pts[..., 2]).min(axis=1)
@@ -225,12 +230,7 @@ class TestBernsteinCertificate:
         self._assert_agree(p0, p1)
 
     def test_agrees_with_minimum_path_on_slice_axis_edges(self):
-        grid = sample_slice(SliceSpec("b", 0.1, resolution=400))
-        U, V = np.meshgrid(grid.u, grid.v, indexing="ij")
-        pts = np.stack([U, np.full(U.shape, 0.1), V], axis=-1)
-        p0 = np.concatenate([pts[:-1].reshape(-1, 3), pts[:, :-1].reshape(-1, 3)])
-        p1 = np.concatenate([pts[1:].reshape(-1, 3), pts[:, 1:].reshape(-1, 3)])
-        self._assert_agree(p0, p1)
+        self._assert_agree(*_slice_axis_edges())
 
     @staticmethod
     def _assert_agree(p0, p1):
@@ -241,3 +241,115 @@ class TestBernsteinCertificate:
             # rejected segments carry the minimum and minimizer callers read
             assert np.array_equal(m[~ok], m_ref[~ok])
             assert np.array_equal(arg[~ok], arg_ref[~ok])
+
+
+def _slice_axis_edges():
+    """The 319,200 axis edges of the b = 0.1 slice at res 400, u steps first."""
+    grid = sample_slice(SliceSpec("b", 0.1, resolution=400))
+    U, V = np.meshgrid(grid.u, grid.v, indexing="ij")
+    pts = np.stack([U, np.full(U.shape, 0.1), V], axis=-1)
+    p0 = np.concatenate([pts[:-1].reshape(-1, 3), pts[:, :-1].reshape(-1, 3)])
+    p1 = np.concatenate([pts[1:].reshape(-1, 3), pts[:, 1:].reshape(-1, 3)])
+    return p0, p1
+
+
+# References: the per-factor node loop and the radius reduce that
+# `restriction_nodes` and `segment_radius` replace, and the decision built
+# on them.
+
+def _reference_samples(name, p0, p1):
+    d = p1 - p0
+    g = np.empty((5,) + p0.shape[:-1])
+    for i, t in enumerate(segments.NODES):
+        pt = p0 + float(t) * d
+        g[i] = factor_values(name, pt[..., 0], pt[..., 1], pt[..., 2])
+    return g
+
+
+def _reference_margin(name, p0, p1, eta):
+    r = np.maximum(np.abs(p0), np.abs(p1)).max(axis=-1)
+    return segments._CERT_UNITS * (segments.factor_magnitude(name, r) + eta)
+
+
+def _reference_mask(name, p0, p1, eta):
+    g = _reference_samples(name, p0, p1)
+    m = np.tensordot(BERN_INV, g, axes=(1, 0)).min(axis=0)
+    ok = m > eta + _reference_margin(name, p0, p1, eta)
+    arg = np.full(len(m), np.nan)
+    rest = np.nonzero(~ok)[0]
+    if len(rest):
+        ok[rest], m[rest], arg[rest] = minimum_decision(name, p0[rest], p1[rest], eta,
+                                                        g[:, rest])
+    return ok, m, arg
+
+
+def _assert_same_bits(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    if got.dtype == np.float64:
+        got, ref = got.view(np.uint64), ref.view(np.uint64)   # NaN and -0.0 bits too
+    assert np.array_equal(got, ref)
+
+
+def _assert_bit_identical(p0, p1, eta=0.0):
+    """Samples, margins and (ok, m, arg) equal the references bit for bit."""
+    nodes = restriction_nodes(p0, p1)
+    r = segment_radius(p0, p1)
+    for k in range(3):
+        if not (p1[:, k] - p0[:, k]).any():     # passed through, not copied
+            assert all(node[k] is nodes[0][k] for node in nodes)
+            assert np.shares_memory(nodes[0][k], p0)
+    for name in segments.FACTOR_NAMES:
+        _assert_same_bits(restriction_samples(name, nodes), _reference_samples(name, p0, p1))
+        _assert_same_bits(certificate_margin(name, r, eta),
+                          _reference_margin(name, p0, p1, eta))
+        got = factor_positive_mask(name, p0, p1, eta, nodes, r)
+        for x, y in zip(got, _reference_mask(name, p0, p1, eta)):
+            _assert_same_bits(x, y)
+
+
+class TestSharedNodes:
+    def test_slice_axis_edges(self):
+        p0, p1 = _slice_axis_edges()
+        half = len(p0) // 2
+        _assert_bit_identical(p0, p1)
+        # one batch per axis, as topology sends them: a and b or b and c fixed
+        _assert_bit_identical(p0[:half], p1[:half])
+        _assert_bit_identical(p0[half:], p1[half:])
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-4])
+    def test_random_segments(self, eta):
+        gen = np.random.default_rng(15)
+        # independent endpoints, where p0 + (p1 - p0) is not always p1
+        lo = np.array([-3.6, -2.3, -3.6])
+        _assert_bit_identical(gen.uniform(lo, -lo, (3000, 3)),
+                              gen.uniform(lo, -lo, (3000, 3)), eta)
+        h = np.array([7.2, 4.6, 7.2]) / 96
+        n = 6000
+        p0 = gen.uniform(lo, -lo, (n, 3))
+        p0[: n // 3, 1] = 0.0       # the b = 0 plane takes W's special branch
+        # mixed offsets of up to two grid steps per axis, zero on some rows
+        off = gen.integers(-2, 3, (n, 3))
+        off[: n // 3, 1] = 0
+        _assert_bit_identical(p0, p0 + off * h, eta)
+        # batches of one offset each, as the axis and radius-2 passes send
+        for one in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -2, 0), (2, 1, -1)]:
+            _assert_bit_identical(p0, p0 + np.array(one) * h, eta)
+
+    def test_signed_zeros(self):
+        gen = np.random.default_rng(16)
+        n = 4000
+        zeros = np.array([0.0, -0.0])
+        r8 = np.sqrt(8.0)
+        # a across the b = 0 pinch a^2 = 8 + c^2, b and c made of signed zeros
+        p0 = np.stack([gen.uniform(r8 - 0.05, r8 + 0.05, n),
+                       gen.choice(zeros, n), gen.choice(zeros, n)], axis=1)
+        p0[: n // 4, 0] = gen.choice(zeros, n // 4)
+        p1 = p0.copy()
+        p1[:, 1] = gen.choice(zeros, n)     # +-0.0 steps, some of them -0.0
+        p1[:, 2] = gen.choice(zeros, n)
+        assert np.signbit(p1[:, 1] - p0[:, 1]).any()
+        _assert_bit_identical(p0, p1)       # every step zero
+        p1[:, 0] += gen.uniform(-0.05, 0.05, n)
+        _assert_bit_identical(p0, p1)       # a moves, b and c are fixed
+        p1[: n // 2, 2] = gen.uniform(-0.5, 0.5, n // 2)
+        _assert_bit_identical(p0, p1)       # c moves on half of the rows

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from pt_horizon import (BoxSpec, CouplingPoint, InvalidInputError, Mode,
                         SliceSpec, components2d, components3d, membership,
                         sample_slice, segment_connected, trace_boundary)
 from pt_horizon import topology
 from pt_horizon.model import eval_p, eval_q, eval_w
-from pt_horizon.topology import (_canonical_labels, _edges_ok, _sign_classes,
-                                 grid_centers, grid_oracle_mismatches)
+from pt_horizon.topology import (LINK_RADIUS, _canonical_labels, _edges_ok,
+                                 _half_offsets, _offset_slices, _pair_indices,
+                                 _sign_classes, grid_centers,
+                                 grid_oracle_mismatches)
 
 
 class TestMembership:
@@ -345,6 +349,95 @@ class TestRescueClassFilter:
         full, _ = _report_points(target)
         assert full.count == rep.count
         assert np.array_equal(full.labels, rep.labels)
+
+
+class _ReferenceComponents(topology._GridComponents):
+    """Labelling that relabels the member graph of every link accepted so
+    far after each phase, with pair indices taken from a full-grid arange."""
+
+    def _edges_for_offsets(self, offs, label=None):
+        member, shape = self.member, self.shape
+        flat = np.arange(member.size).reshape(shape)
+        rows, cols = [], []
+        for off in offs:
+            sl0, sl1 = _offset_slices(shape, off)
+            pair = member[sl0] & member[sl1]
+            if label is not None:
+                pair &= label[sl0] != label[sl1]
+            if not pair.any():
+                continue
+            i0 = flat[sl0][pair]
+            i1 = flat[sl1][pair]
+            ok = self._test(i0, i1)
+            rows.append(i0[ok])
+            cols.append(i1[ok])
+        return rows, cols
+
+    def _label(self, rows, cols):
+        r = self.idx[np.concatenate(rows)] if rows else np.array([], np.int64)
+        c = self.idx[np.concatenate(cols)] if cols else np.array([], np.int64)
+        g = sparse.coo_matrix((np.ones(len(r), np.int8), (r, c)),
+                              shape=(self.n_mem, self.n_mem))
+        n, lab = csgraph.connected_components(g.tocsr(), directed=False)
+        full = -np.ones(self.member.size, np.int64)
+        full[self.member.ravel()] = lab
+        return n, full.reshape(self.shape)
+
+    def run(self):
+        if self.n_mem == 0:
+            return 0, None
+        nd = self.nd
+        axis_offs = [tuple(int(i == k) for i in range(nd)) for k in range(nd)]
+        rows, cols = self._edges_for_offsets(axis_offs)
+        n, lab = self._label(rows, cols)
+        extra = [o for o in _half_offsets(nd, LINK_RADIUS) if o not in axis_offs]
+        r2, c2 = self._edges_for_offsets(extra, label=lab)
+        if r2:
+            rows += r2
+            cols += c2
+            n, lab = self._label(rows, cols)
+        r3, c3 = self._rescue_edges(lab)
+        if r3:
+            rows += r3
+            cols += c3
+            n, lab = self._label(rows, cols)
+        return n, lab
+
+
+def _report(target):
+    if isinstance(target, SliceSpec):
+        return components2d(sample_slice(target))
+    return components3d(target)
+
+
+class TestPhaseMerging:
+    @pytest.mark.parametrize("target", [
+        BoxSpec(resolution=48, **SEED4_WINDOW_48),
+        SliceSpec("b", math.sqrt(5) - 1, resolution=300),
+        SliceSpec("b", 0.0, resolution=400, mode=Mode.REAL_ONLY),
+        SliceSpec("c", 0.0, resolution=400),
+    ], ids=["box48-seed4", "b-sqrt5-1", "b0-real", "c0"])
+    def test_labels_match_relabelling_every_link(self, target, monkeypatch):
+        rep = _report(target)
+        monkeypatch.setattr(topology, "_GridComponents", _ReferenceComponents)
+        ref = _report(target)
+        assert (rep.count, rep.lower_bound, rep.certified) == \
+            (ref.count, ref.lower_bound, ref.certified)
+        assert rep.labels.dtype == ref.labels.dtype
+        assert np.array_equal(rep.labels, ref.labels)
+
+    @pytest.mark.parametrize("shape", [(7, 12), (9, 5, 6)])
+    def test_pair_indices_match_arange(self, shape):
+        gen = np.random.default_rng(17)
+        flat = np.arange(np.prod(shape)).reshape(shape)
+        for off in _half_offsets(len(shape), LINK_RADIUS):
+            sl0, sl1 = _offset_slices(shape, off)
+            pair = gen.random(flat[sl0].shape) < 0.4
+            mask = np.zeros(shape, bool)
+            mask[sl0] = pair
+            i0, i1 = _pair_indices(mask, off)
+            assert np.array_equal(i0, flat[sl0][pair]), off
+            assert np.array_equal(i1, flat[sl1][pair]), off
 
 
 class TestTraceBoundary:
