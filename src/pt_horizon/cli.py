@@ -3,8 +3,13 @@ sweep the figure sequence, run the identity suite, and compare spectra.
 
 All artifacts are deterministic for fixed flags and seed; floats are written
 with 17 significant digits (`FLOAT_FORMAT`) so they round-trip exactly.
-Slice CSVs are streamed to their file one block of rows per u value, each
-value formatted once; the bytes are those of one row per sample.
+Slice CSVs are streamed to their file one block of rows per u value; the
+bytes are those of one row per sample.  u and v are formatted once each.
+W, Q and P go through `floattext.float_fields`, a numpy kernel equal to
+`FLOAT_FORMAT % x` for every double, which itself formats the values whose
+rounding it cannot prove (zero, NaN, inf, extreme magnitudes, near-ties).
+About `_CSV_BLOCK_ROWS` rows (whole u values) are laid out at once in a
+zero-padded byte matrix, whose nonzero bytes are the text.
 """
 from __future__ import annotations
 
@@ -15,13 +20,13 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from . import identities, model, oracle, topology
 from .errors import InvalidInputError, NumericalFailureError
+from .floattext import FIELD_WIDTH, FLOAT_FORMAT, float_fields, text_rows
 from .spectrum import sort_key
 from .svgrender import render_slice_svg
 
@@ -39,10 +44,14 @@ DEFAULT_SWEEP_B = (
 )
 
 
-FLOAT_FORMAT = "%.17g"
 CSV_HEADER = "u,v,W,Q,P,inside,component"
-# u and v arrive formatted; inside is a bool, component an int
-_CSV_ROW = f"%s,%s,{FLOAT_FORMAT},{FLOAT_FORMAT},{FLOAT_FORMAT},%d,%d"
+# Rows laid out at once by `slice_csv_lines`, rounded down to whole u values
+# (at least one).  It bounds the working memory of a block, about 0.7 kB a
+# row: the kernel's temporaries for three floats, the row matrix (~180 bytes,
+# FIELD_WIDTH per float) and the text.  At 2^12 rows tracemalloc reads a
+# 2.3-2.8 MB peak per thread at res 64, 300 and 1600.  Blocks of 2^14 rows
+# read 12 MB, raised the sweep's peak RSS by 8-15 MB and were no faster.
+_CSV_BLOCK_ROWS = 1 << 12
 
 
 def fmt(x: float) -> str:
@@ -275,19 +284,56 @@ def _slice_spec(cfg: RunConfig, fixed_axis: str, fixed_value: float) -> topology
     )
 
 
+def _cells(texts: list, end: str) -> np.ndarray:
+    """`texts` as zero-padded uint8 rows, each closed by the byte `end`."""
+    rows = text_rows(texts, max(map(len, texts)) + 1)
+    rows[:, -1] = ord(end)
+    return rows
+
+
+def _block_rows(grid: topology.SliceGrid, labels: np.ndarray, block: slice,
+                v_cells: np.ndarray) -> np.ndarray:
+    """The CSV rows of the u values in `block` as a (rows, width) uint8
+    matrix whose nonzero bytes, row after row, are the text."""
+    u_cells = _cells([fmt(u) for u in grid.u[block].tolist()], ",")
+    ids, which = np.unique(labels[block], return_inverse=True)
+    label_cells = _cells([str(i) for i in ids.tolist()], "\n")
+    n_u, n_v = len(u_cells), len(v_cells)
+    widths = np.cumsum([0, u_cells.shape[1], v_cells.shape[1],
+                        3 * (FIELD_WIDTH + 1), 2, label_cells.shape[1]])
+    rows = np.empty((n_u, n_v, widths[-1]), np.uint8)
+    rows[:, :, widths[0]:widths[1]] = u_cells[:, None]
+    rows[:, :, widths[1]:widths[2]] = v_cells
+    floats = rows[:, :, widths[2]:widths[3]].reshape(n_u, n_v, 3, FIELD_WIDTH + 1)
+    values = np.stack([grid.W[block], grid.Q[block], grid.P[block]], axis=-1)
+    floats[..., :FIELD_WIDTH] = float_fields(values).reshape(n_u, n_v, 3, FIELD_WIDTH)
+    floats[..., FIELD_WIDTH] = ord(",")
+    rows[:, :, widths[3]] = grid.membership[block] + np.uint8(ord("0"))
+    rows[:, :, widths[3] + 1] = ord(",")
+    rows[:, :, widths[4]:] = label_cells[which.reshape(n_u, n_v)]
+    return rows.reshape(n_u * n_v, -1)
+
+
 def slice_csv_lines(grid: topology.SliceGrid, labels: np.ndarray):
     """The header, then one newline-joined block of rows per u value.
 
     `"\\n".join(items) + "\\n"` is the CSV file.  Rows run over v within a
-    block; each u and v is formatted once, and each row with one template.
+    block.  u and v are formatted once each; W, Q and P by `float_fields`.
+    The rows of about `_CSV_BLOCK_ROWS` samples (whole u values) are laid
+    out at once by `_block_rows`, then split back into one block per u value.
     """
     yield CSV_HEADER
-    v_text = [fmt(v) for v in grid.v.tolist()]
-    columns = (grid.W.tolist(), grid.Q.tolist(), grid.P.tolist(),
-               grid.membership.tolist(), labels.tolist())
-    for u, w, q, p, inside, lab in zip(grid.u.tolist(), *columns):
-        rows = zip(repeat(fmt(u)), v_text, w, q, p, inside, lab)
-        yield "\n".join([_CSV_ROW % row for row in rows])
+    n_v = len(grid.v)
+    v_cells = _cells([fmt(v) for v in grid.v.tolist()], ",")
+    step = max(1, _CSV_BLOCK_ROWS // n_v)
+    for i0 in range(0, len(grid.u), step):
+        # the row matrix is freed as soon as its bytes are copied out
+        text = _block_rows(grid, labels, slice(i0, i0 + step), v_cells).tobytes()
+        text = text.translate(None, b"\0")
+        # the newline that ends each u value's last row closes its block
+        ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[n_v - 1::n_v]
+        text = text.decode("ascii")
+        yield from (text[a + 1:b] for a, b in zip([-1, *ends[:-1].tolist()], ends.tolist()))
 
 
 def write_slice_csv(fh, grid: topology.SliceGrid, labels: np.ndarray) -> None:

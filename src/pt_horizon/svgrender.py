@@ -43,7 +43,7 @@ def render_slice_svg(grid: SliceGrid, width: int = 720) -> str:
     parts.extend(heads[i] + tails[j] for i, j in zip(ii.tolist(), jj.tolist()))
     parts.append("</g>")
     for name, style in _STYLES.items():
-        curves = trace_boundary(spec, name)
+        curves = trace_boundary(grid, name)
         parts.append(f'<g fill="none" {style} stroke-width="1.2">')
         for curve in curves:
             pts = " ".join(f"{sx(u):.2f},{sy(v):.2f}" for u, v in curve.polyline)

@@ -639,18 +639,21 @@ _MS_SEGMENTS = {
 }
 
 
-def trace_boundary(spec: SliceSpec, factor: str, clip: bool = False):
+def trace_boundary(source, factor: str, clip: bool = False):
     """Zero-level contours of one discriminant on a slice.
 
-    Marching squares over the sample grid with linear interpolation along
-    cell edges, then a bisection polish so every vertex sits on the zero set
-    to within 1e-6 * (1 + |p|^4).  With `clip`, segments are kept only in
-    squares where the other two factors exceed -eta at all four corners.
+    `source` is a `SliceSpec`, which is sampled here, or a `SliceGrid`, whose
+    samples are used as they are.  Marching squares over the sample grid
+    with linear interpolation along cell edges, then a bisection polish so
+    every vertex sits on the zero set to within 1e-6 * (1 + |p|^4).  With
+    `clip`, segments are kept only in squares where the other two factors
+    exceed -eta at all four corners.
     """
     factor = factor.upper()
     if factor not in _FACTOR_EVAL:
         raise InvalidInputError(f"factor must be one of W, Q, P, got {factor!r}")
-    grid = sample_slice(spec)
+    grid = source if isinstance(source, SliceGrid) else sample_slice(source)
+    spec = grid.spec
     F = {"W": grid.W, "Q": grid.Q, "P": grid.P}[factor]
     u, v = grid.u, grid.v
     res = spec.resolution

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pt_horizon import cli, topology
+from pt_horizon import cli, floattext, svgrender, topology
 from pt_horizon.svgrender import render_slice_svg
 
 
@@ -193,6 +197,94 @@ SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
             0.1, 1 / 3, -2.5, 64.0, 1.7976931348623157e308]
 
 
+def random_doubles(n, seed):
+    """n doubles from uniformly random bit patterns: every exponent, NaNs too."""
+    bits = np.frombuffer(np.random.default_rng(seed).bytes(8 * n), np.uint64)
+    return bits.view(np.float64).copy()
+
+
+def adversarial_slice(grid):
+    """`grid` with random-bit W, Q and P (NaN, +-inf and -0.0 among them), a
+    random membership, and labels from -1 to 12."""
+    rng = np.random.default_rng(11)
+    shape = grid.W.shape
+
+    def values(seed):
+        x = random_doubles(grid.W.size, seed).reshape(shape)
+        x.flat[rng.choice(x.size, 4, replace=False)] = [math.nan, math.inf, -math.inf, -0.0]
+        return x
+
+    adversarial = dataclasses.replace(grid, W=values(1), Q=values(2), P=values(3),
+                                      membership=rng.random(shape) < 0.5)
+    labels = rng.integers(-1, 13, shape)
+    assert labels.max() == 12
+    return adversarial, labels
+
+
+def formatted(x):
+    """`float_fields` of each value as text."""
+    fields = floattext.float_fields(np.asarray(x, np.float64))
+    lines = np.concatenate([fields, np.full((len(fields), 1), ord("\n"), np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def ulp_neighbours(x, n):
+    """x and the n doubles on each side of it, with their negatives."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out + [-y for y in out]
+
+
+class TestFloatFields:
+    """`float_fields` against `FLOAT_FORMAT % x`, value by value."""
+
+    @staticmethod
+    def mismatches(xs):
+        xs = [float(x) for x in xs]
+        return [(x, got) for x, got in zip(xs, formatted(xs)) if got != cli.FLOAT_FORMAT % x]
+
+    def test_random_bit_patterns(self):
+        assert self.mismatches(random_doubles(1_000_000, 5)) == []
+
+    def test_specials(self):
+        assert self.mismatches(SPECIALS) == []
+
+    def test_powers_of_ten_and_neighbours(self):
+        xs = [y for k in range(-30, 31) for y in ulp_neighbours(10.0 ** k, 2)]
+        assert self.mismatches(xs) == []
+
+    def test_layout_switches_and_fast_path_edges(self):
+        # fixed notation from 1e-4 to below 1e17; the fast path on [1e-250, 1e250]
+        edges = (1e-5, 1e-4, 1e16, 1e17, 1e-250, 1e250)
+        assert self.mismatches([y for x in edges for y in ulp_neighbours(x, 3)]) == []
+
+    def test_exact_ties_take_the_fallback(self):
+        # 1 + j 2^-17 and j 2^-25 = j 5^25 10^-25 for small odd j have 18
+        # significant digits, the last a 5: 1 + 2^-17 = 1.00000762939453125
+        ties = [1 + j * 2.0 ** -17 for j in range(1, 200, 2)] + [2.0 ** -25, 3 * 2.0 ** -25]
+        ties += [-t for t in ties[:10]]
+        assert f"{ties[0]:.18g}" == "1.00000762939453125"
+        assert all(len(f"{abs(t):.25e}".split("e")[0].rstrip("0")) == 19 for t in ties)
+        _, _, fast = floattext._rounded_digits(np.array(ties))
+        assert not fast.any()
+        assert self.mismatches(ties) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=50))
+    def test_any_floats(self, xs):
+        assert self.mismatches(xs) == []
+
+    def test_slice_values_take_the_fast_path(self):
+        spec = cli._slice_spec(cli.RunConfig("slice", resolution=300), "b", 0.1)
+        grid = topology.sample_slice(spec)
+        _, _, fast = floattext._rounded_digits(np.stack([grid.W, grid.Q, grid.P]).ravel())
+        assert fast.mean() >= 0.99
+
+
 class TestSliceArtifacts:
     def test_fmt_matches_fstring(self):
         bits = np.frombuffer(np.random.default_rng(0).bytes(8 * 100_000), np.uint64)
@@ -200,15 +292,23 @@ class TestSliceArtifacts:
         assert [x for x in xs if cli.fmt(x) != f"{x:.17g}"] == []
         assert [x for x in xs[-1000:] if cli.fmt(np.float64(x)) != f"{x:.17g}"] == []
 
-    @pytest.mark.parametrize("argv", [
-        ["--fix", "b=0", "--res", "64"],
-        ["--fix", "b=0", "--res", "64", "--mode", "real"],
-        ["--fix", f"b={math.sqrt(5) - 0.01!r}", "--res", "64"],
-        ["--fix", "c=0", "--res", "64"] + SEED7_RANGES,
-    ], ids=["b0", "b0-real", "b-sqrt5-0.01", "c0-seed7"])
-    def test_csv_bytes_match_per_element_writer(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, adversarial", [
+        (["--fix", "b=0", "--res", "64"], False),
+        (["--fix", "b=0", "--res", "64", "--mode", "real"], False),
+        (["--fix", f"b={math.sqrt(5) - 0.01!r}", "--res", "64"], False),
+        (["--fix", "c=0", "--res", "64"] + SEED7_RANGES, False),
+        (["--fix", "b=0", "--res", "64"], True),
+    ], ids=["b0", "b0-real", "b-sqrt5-0.01", "c0-seed7", "adversarial"])
+    def test_csv_bytes_match_per_element_writer(self, argv, adversarial, tmp_path, capsys,
+                                                monkeypatch):
         argv = ["slice"] + argv
         grid, labels = slice_grid(argv)
+        if adversarial:
+            grid, labels = adversarial_slice(grid)
+            report = types.SimpleNamespace(count=int(labels.max()) + 1)
+            monkeypatch.setattr(cli, "_run_slice", lambda *args: (grid, report, labels))
+            # blocks of 5 u values, the last of 4
+            monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 5 * 64 + 63)
         expect = reference_csv(grid, labels)
         # the contract perfbench counts bytes by: header, then one block per u
         items = list(cli.slice_csv_lines(grid, labels))
@@ -221,6 +321,36 @@ class TestSliceArtifacts:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out.split("\n") == expect.split("\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--fix", "b=0.1", "--res", "64"],
+        ["--fix", "c=0", "--res", "64"] + SEED7_RANGES,
+    ], ids=["b0.1", "c0-seed7"])
+    def test_trace_boundary_of_grid_equals_of_spec(self, argv):
+        grid, _ = slice_grid(["slice"] + argv)
+        for factor in ("W", "Q", "P"):
+            for clip in (False, True):
+                from_grid = topology.trace_boundary(grid, factor, clip)
+                from_spec = topology.trace_boundary(grid.spec, factor, clip)
+                assert len(from_grid) == len(from_spec)
+                assert len(from_grid) > 0 or clip
+                for a, b in zip(from_grid, from_spec):
+                    assert (a.factor, a.closed) == (b.factor, b.closed)
+                    assert np.array_equal(a.polyline, b.polyline)
+
+    def test_svg_samples_no_slice(self, monkeypatch):
+        grid, _ = slice_grid(["slice", "--fix", "b=0.1", "--res", "64"])
+        calls = []
+        sample = topology.sample_slice
+        monkeypatch.setattr(topology, "sample_slice",
+                            lambda spec: calls.append(spec) or sample(spec))
+        svg = render_slice_svg(grid)
+        assert calls == []
+        # what the SVG was when each factor sampled the slice again
+        monkeypatch.setattr(svgrender, "trace_boundary",
+                            lambda g, factor: topology.trace_boundary(g.spec, factor))
+        assert render_slice_svg(grid) == svg
+        assert len(calls) == 3
 
     def test_svg_rects_match_per_cell_loop(self):
         grid, _ = slice_grid(["slice", "--fix", "c=0", "--res", "64"] + SEED7_RANGES)
