@@ -10,10 +10,13 @@ stages, each run only on the segments the one before left open:
    once (`restriction_nodes`, with the radius of the rounding margin,
    `segment_radius`) and shared by W, Q and P.  Each factor is evaluated
    once at them and the samples are mapped to the restriction's Bernstein
-   coefficients on [0, 1] (exact rational 5x5 inverse).  The polynomial
-   lies in the convex hull of its coefficients, so a smallest coefficient
-   above eta plus a proven rounding margin (`certificate_margin`) accepts
-   the segment.
+   coefficients on [0, 1] (`bernstein_minimum`).  The map is the exact
+   rational 5x5 inverse, applied as elementwise sums over the mirrored
+   samples g0 +- g4, g1 +- g3 (the nodes are symmetric about t = 1/2), so
+   no BLAS call, and no BLAS thread, is involved.  The polynomial lies in
+   the convex hull of its coefficients, so a smallest coefficient above eta
+   plus a proven rounding margin (`certificate_margin`) accepts the
+   segment.
 2. Float minimum.  The same samples give the monomial coefficients (rational
    inverse Vandermonde), minimized through the derivative's real roots.
 3. Exact replay.  Whenever the computed minimum lands inside a rounding-sized
@@ -59,8 +62,31 @@ VINV = _as_float(_exact_inverse([[t ** k for k in range(5)] for t in NODES]))
 # samples at NODES -> Bernstein coefficients of degree 4 on [0, 1]
 _BERN_INV = _exact_inverse([[comb(4, k) * t ** k * (1 - t) ** (4 - k) for k in range(5)]
                             for t in NODES])
-BERN_INV = _as_float(_BERN_INV)
 BERN_ROWSUM = float(max(sum(abs(x) for x in row) for row in _BERN_INV))
+
+
+def _mirrored(even, odd):
+    """Row of weights on (g0..g4) of even . (g0+g4, g1+g3, g2) + odd . (g0-g4, g1-g3)."""
+    return [even[0] + odd[0], even[1] + odd[1], even[2], even[1] - odd[1], even[0] - odd[0]]
+
+
+# The nodes are symmetric about t = 1/2, so row 3 of the inverse is row 1
+# reversed and row 2 is a palindrome: b1 = C + D and b3 = C - D, with C even
+# and D odd in the mirrored samples, and b2 is even.  b0 = g0 and b4 = g4.
+_C_EXACT = [(x + y) / 2 for x, y in zip(_BERN_INV[1][:3], _BERN_INV[3][:3])]
+_D_EXACT = [(x - y) / 2 for x, y in zip(_BERN_INV[1][:2], _BERN_INV[3][:2])]
+_B2_EXACT = _BERN_INV[2][:3]
+assert _BERN_INV == [[1, 0, 0, 0, 0], _mirrored(_C_EXACT, _D_EXACT),
+                     _mirrored(_B2_EXACT, (0, 0)), _mirrored(_C_EXACT, [-x for x in _D_EXACT]),
+                     [0, 0, 0, 0, 1]]
+_C = tuple(float(x) for x in _C_EXACT)      # -2/3, 8/3, -3
+_D = tuple(float(x) for x in _D_EXACT)      # -5/12, 4/3
+_B2 = tuple(float(x) for x in _B2_EXACT)    # 13/18, -32/9, 20/3
+
+# Columns per block of `bernstein_minimum`: its ten rows of 64 KiB (five of
+# samples, five temporaries) fit in a 2 MiB L2 cache.  On a 2-core Xeon with
+# that cache, 300k columns took a third of the time of whole-row passes.
+_BLOCK = 8192
 
 # Rounding margin of the certificate, derived for round-to-nearest doubles
 # (unit roundoff u = 2^-53).  For one segment let R be its largest
@@ -70,10 +96,15 @@ BERN_ROWSUM = float(max(sum(abs(x) for x in row) for row in _BERN_INV))
 #     by <= 4 M (5u R) / R = 20u M under that (Euler's identity);
 #   * `factor_values` is at most 6 operations deep: gamma_6 M ~ 6u M;
 #   so every sample is within 27u M of the exact value (O(u^2) included);
-#   * B^-1 amplifies sample errors by at most its largest absolute row sum,
-#     BERN_ROWSUM = 137/9 ~ 15.2; storing its non-dyadic entries (-13/12,
-#     4/3, 13/18, 32/9, 20/3) costs u and the 5-term dot products gamma_5,
-#     each times BERN_ROWSUM * max|sample| <= BERN_ROWSUM * M.
+#   * `bernstein_interior` weighs the samples by rows of B^-1, so sample
+#     errors grow by at most its largest absolute row sum, the sum over paths
+#     of |weight|: BERN_ROWSUM = 137/9 ~ 15.2, attained by b2 (b1 and b3
+#     reach 79/6 ~ 13.2; b0 = g0 and b4 = g4 are copied);
+#   * its own arithmetic: a sample reaches a coefficient through at most 5
+#     roundings (mirrored sum, product, two sums inside C, then C + D), and
+#     the non-dyadic weights (-2/3, 8/3, -5/12, 4/3, 13/18, -32/9, 20/3) are
+#     stored to within u: gamma_6 ~ 6u times BERN_ROWSUM * max|sample| <=
+#     BERN_ROWSUM * M.
 # Total: 33u * BERN_ROWSUM * M.  The margin takes 40u * BERN_ROWSUM * (M + eta),
 # whose excess covers rounding eta + margin and M themselves.
 _CERT_UNITS = 40.0 * BERN_ROWSUM * 2.0 ** -53
@@ -118,6 +149,49 @@ def certificate_margin(name: str, r: np.ndarray, eta: float) -> np.ndarray:
     `r` is `segment_radius(p0, p1)`.
     """
     return _CERT_UNITS * (factor_magnitude(name, r) + eta)
+
+
+def bernstein_interior(g: np.ndarray):
+    """Bernstein coefficients (b1, b2, b3) on [0, 1] of the restrictions sampled
+    at NODES, g of shape (5, n); b0 = g[0] and b4 = g[4].
+
+    Plain elementwise sums over the mirrored samples, without BLAS, held in
+    five arrays of length n.
+    """
+    g0, g1, g2, g3, g4 = g
+    s = g0 + g4
+    t = g1 + g3
+    x = np.multiply(t, _B2[1])
+    b2 = np.multiply(s, _B2[0])
+    b2 += x
+    b2 += np.multiply(g2, _B2[2], out=x)
+    c = np.multiply(s, _C[0])
+    c += np.multiply(t, _C[1], out=x)
+    c += np.multiply(g2, _C[2], out=x)
+    d = np.subtract(g0, g4, out=s)
+    d *= _D[0]
+    d += np.multiply(np.subtract(g1, g3, out=t), _D[1], out=t)
+    b1 = np.add(c, d, out=x)
+    c -= d
+    return b1, b2, c
+
+
+def bernstein_minimum(g: np.ndarray) -> np.ndarray:
+    """Smallest Bernstein coefficient of each restriction sampled at NODES.
+
+    Taken `_BLOCK` columns at a time, so that a block's samples and
+    temporaries stay in cache across the two dozen elementwise passes.
+    """
+    m = np.empty(g.shape[1])
+    for lo in range(0, len(m), _BLOCK):
+        blk = g[:, lo:lo + _BLOCK]
+        out = m[lo:lo + _BLOCK]
+        b1, b2, b3 = bernstein_interior(blk)
+        np.minimum(b1, b2, out=out)
+        np.minimum(out, b3, out=out)
+        np.minimum(out, blk[0], out=out)
+        np.minimum(out, blk[4], out=out)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +561,7 @@ def factor_positive_mask(name: str, p0: np.ndarray, p1: np.ndarray, eta: float,
     if r is None:
         r = segment_radius(p0, p1)
     g = restriction_samples(name, nodes)
-    m = np.tensordot(BERN_INV, g, axes=(1, 0)).min(axis=0)
+    m = bernstein_minimum(g)
     ok = m > eta + certificate_margin(name, r, eta)
     arg = np.full(len(m), np.nan)
     rest = np.nonzero(~ok)[0]

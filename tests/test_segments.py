@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from pt_horizon import Mode, SliceSpec, sample_slice, segments
-from pt_horizon.segments import (BERN_INV, VINV, certificate_margin,
-                                 cubic_real_roots, exact_positive_on_segment,
+from pt_horizon.segments import (VINV, bernstein_interior, bernstein_minimum,
+                                 certificate_margin, cubic_real_roots,
+                                 exact_positive_on_segment,
                                  exact_restriction, factor_positive_mask,
                                  factor_values, minimum_decision,
                                  restriction_nodes, restriction_samples,
@@ -185,7 +186,8 @@ class TestBernsteinCertificate:
         p0, p1 = _random_segments(gen, 300, scale)
         worst = 0.0
         for name in segments.FACTOR_NAMES:
-            got = np.tensordot(BERN_INV, _samples(name, p0, p1), axes=(1, 0))
+            g = _samples(name, p0, p1)
+            got = np.stack([g[0], *bernstein_interior(g), g[4]])
             margin = certificate_margin(name, segment_radius(p0, p1), 0.0)
             for k in range(len(p0)):
                 exact = _exact_bernstein(name, tuple(p0[k]), tuple(p1[k]))
@@ -199,8 +201,7 @@ class TestBernsteinCertificate:
         p0, p1 = _random_segments(gen, 200, 3.0)
         ts = np.linspace(0, 1, 101)
         for name in segments.FACTOR_NAMES:
-            lower = np.tensordot(BERN_INV, _samples(name, p0, p1),
-                                 axes=(1, 0)).min(axis=0)
+            lower = bernstein_minimum(_samples(name, p0, p1))
             pts = p0[:, None, :] + ts[None, :, None] * (p1 - p0)[:, None, :]
             vals = factor_values(name, pts[..., 0], pts[..., 1], pts[..., 2]).min(axis=1)
             assert np.all(lower <= vals + 1e-9 * (1 + np.abs(vals)))
@@ -243,19 +244,37 @@ class TestBernsteinCertificate:
             assert np.array_equal(arg[~ok], arg_ref[~ok])
 
 
-def _slice_axis_edges():
-    """The 319,200 axis edges of the b = 0.1 slice at res 400, u steps first."""
-    grid = sample_slice(SliceSpec("b", 0.1, resolution=400))
+def _axis_edges(spec, members_only=False):
+    """(p0, p1) of the axis edges of a slice grid, u steps first."""
+    grid = sample_slice(spec)
     U, V = np.meshgrid(grid.u, grid.v, indexing="ij")
-    pts = np.stack([U, np.full(U.shape, 0.1), V], axis=-1)
+    coords = {spec.u_axis: U, spec.v_axis: V,
+              spec.fixed_axis: np.full(U.shape, spec.fixed_value)}
+    pts = np.stack([coords[axis] for axis in "abc"], axis=-1)
     p0 = np.concatenate([pts[:-1].reshape(-1, 3), pts[:, :-1].reshape(-1, 3)])
     p1 = np.concatenate([pts[1:].reshape(-1, 3), pts[:, 1:].reshape(-1, 3)])
+    if members_only:
+        mem = grid.membership
+        keep = np.concatenate([(mem[:-1] & mem[1:]).ravel(), (mem[:, :-1] & mem[:, 1:]).ravel()])
+        p0, p1 = p0[keep], p1[keep]
     return p0, p1
 
 
+def _slice_axis_edges():
+    """The 319,200 axis edges of the b = 0.1 slice at res 400, u steps first."""
+    return _axis_edges(SliceSpec("b", 0.1, resolution=400))
+
+
 # References: the per-factor node loop and the radius reduce that
-# `restriction_nodes` and `segment_radius` replace, and the decision built
-# on them.
+# `restriction_nodes` and `segment_radius` replace, the BLAS product that
+# `bernstein_minimum` replaces, and the decision built on them.
+
+_BERN_INV = np.array([[float(x) for x in row] for row in segments._BERN_INV])
+
+
+def _blas_bernstein_minimum(g):
+    return np.tensordot(_BERN_INV, g, axes=(1, 0)).min(axis=0)
+
 
 def _reference_samples(name, p0, p1):
     d = p1 - p0
@@ -271,9 +290,9 @@ def _reference_margin(name, p0, p1, eta):
     return segments._CERT_UNITS * (segments.factor_magnitude(name, r) + eta)
 
 
-def _reference_mask(name, p0, p1, eta):
+def _reference_mask(name, p0, p1, eta, certificate=bernstein_minimum):
     g = _reference_samples(name, p0, p1)
-    m = np.tensordot(BERN_INV, g, axes=(1, 0)).min(axis=0)
+    m = certificate(g)
     ok = m > eta + _reference_margin(name, p0, p1, eta)
     arg = np.full(len(m), np.nan)
     rest = np.nonzero(~ok)[0]
@@ -353,3 +372,73 @@ class TestSharedNodes:
         _assert_bit_identical(p0, p1)       # a moves, b and c are fixed
         p1[: n // 2, 2] = gen.uniform(-0.5, 0.5, n // 2)
         _assert_bit_identical(p0, p1)       # c moves on half of the rows
+
+
+def _assert_same_decisions(p0, p1, eta=0.0):
+    """The certificate accepts the same segments as the BLAS product it
+    replaces, and every decision, minimum and minimizer callers read is equal.
+
+    Returns the number of (segment, factor) pairs the certificate rejects.
+    """
+    rejected = 0
+    for name in segments.FACTOR_NAMES:
+        ok, m, arg = factor_positive_mask(name, p0, p1, eta)
+        ok_ref, m_ref, arg_ref = _reference_mask(name, p0, p1, eta, _blas_bernstein_minimum)
+        assert np.array_equal(ok, ok_ref), name
+        certified = ok & np.isnan(arg)
+        assert np.array_equal(certified, ok_ref & np.isnan(arg_ref)), name
+        rest = ~certified
+        _assert_same_bits(m[rest], m_ref[rest])
+        _assert_same_bits(arg[rest], arg_ref[rest])
+        rejected += rest.sum()
+        assert certified.any()
+    return rejected
+
+
+class TestBlasFreeCertificate:
+    def test_same_decisions_on_slice_axis_edges(self):
+        assert _assert_same_decisions(*_slice_axis_edges()) > 0
+
+    @pytest.mark.parametrize("axis, mode, rejects", [("b", Mode.STRICT_SIMPLE, True),
+                                                     ("b", Mode.REAL_ONLY, True),
+                                                     ("c", Mode.STRICT_SIMPLE, False)])
+    def test_same_decisions_on_member_axis_edges(self, monkeypatch, axis, mode, rejects):
+        p0, p1 = _axis_edges(SliceSpec(axis, 0.0, resolution=800, mode=mode),
+                             members_only=True)
+        assert (_assert_same_decisions(p0, p1) > 0) == rejects
+        # the links, with REAL_ONLY's oracle admissions of rejected W segments
+        links = _edges_ok(p0, p1, 0.0, mode)
+        monkeypatch.setattr(segments, "bernstein_minimum", _blas_bernstein_minimum)
+        assert np.array_equal(links, _edges_ok(p0, p1, 0.0, mode))
+
+    def test_end_coefficients_are_the_end_samples(self):
+        gen = np.random.default_rng(17)
+        n = 20000       # more than two blocks of `bernstein_minimum`
+        ends = gen.choice([-1.0, 1.0], (2, n)) * 10.0 ** gen.uniform(-320, 300, (2, n))
+        # samples of the quartic with Bernstein coefficients (g0, big, big, big, g4)
+        big = 4.0 * np.abs(ends).max(axis=0) + 1.0
+        bern = np.stack([ends[0], big, big, big, ends[1]])
+        fwd = np.array([[float(comb(4, k) * t ** k * (1 - t) ** (4 - k)) for k in range(5)]
+                        for t in segments.NODES])
+        g = np.stack([ends[0], *(fwd[1:4] @ bern), ends[1]])
+        for b in bernstein_interior(g):
+            assert np.all(b > np.abs(ends).max(axis=0))
+        _assert_same_bits(bernstein_minimum(g), np.minimum(ends[0], ends[1]))
+
+    def test_makes_no_blas_call(self, monkeypatch):
+        p0, p1 = _slice_axis_edges()
+        interior = np.ones(len(p0), bool)
+        for name in segments.FACTOR_NAMES:
+            ok, m, arg = factor_positive_mask(name, p0, p1, 0.0)
+            interior &= ok & np.isnan(arg)
+        p0, p1 = p0[interior], p1[interior]
+        assert len(p0) > 50000
+
+        def blas(*args, **kwargs):
+            raise AssertionError("BLAS call on the certificate path")
+
+        for fn in ("tensordot", "dot", "matmul", "einsum"):
+            monkeypatch.setattr(np, fn, blas)
+        for name in segments.FACTOR_NAMES:
+            ok, m, arg = factor_positive_mask(name, p0, p1, 0.0)
+            assert ok.all() and np.isnan(arg).all()
