@@ -345,9 +345,7 @@ def _run_slice(cfg: RunConfig, fixed_axis: str, fixed_value: float):
     spec = _slice_spec(cfg, fixed_axis, fixed_value)
     grid = topology.sample_slice(spec)
     report = topology.components2d(grid)
-    labels = report.labels if report.labels is not None else -np.ones(
-        grid.membership.shape, np.int64)
-    return grid, report, labels
+    return grid, report, report.labels
 
 
 def cmd_slice(cfg: RunConfig) -> int:

@@ -31,6 +31,8 @@ from math import comb
 
 import numpy as np
 
+from .model import eval_p, eval_q, eval_w
+
 FACTOR_NAMES = ("W", "Q", "P")
 
 NODES = tuple(Fraction(i, 4) for i in range(5))
@@ -110,14 +112,14 @@ _BLOCK = 8192
 _CERT_UNITS = 40.0 * BERN_ROWSUM * 2.0 ** -53
 
 
+_FACTOR_FORMS = {"W": eval_w, "Q": eval_q, "P": eval_p}
+
+
 def factor_values(name: str, a, b, c):
-    if name == "W":
-        return (8 + c * c - a * a) ** 2 - 4 * (16 - (a + c) ** 2) * (b * b)
-    if name == "Q":
-        return ((a + 3) * (c - 1) - b * b) * ((a - 3) * (c + 1) - b * b)
-    if name == "P":
-        return 10 - a * a - 2 * (b * b) - c * c
-    raise ValueError(f"unknown factor {name!r}")
+    """The float value of factor `name`, by its one definition in `model`."""
+    if name not in _FACTOR_FORMS:
+        raise ValueError(f"unknown factor {name!r}")
+    return _FACTOR_FORMS[name](a, b, c)
 
 
 def factor_magnitude(name: str, r):

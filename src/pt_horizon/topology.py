@@ -1,14 +1,20 @@
 """Sampling, membership, connected components, and boundary tracing.
 
-Grids sample cell centers of the requested window.  Component analysis never
-trusts endpoint membership alone: every candidate link between two member
-samples is accepted only if all three discriminants stay positive along the
-straight segment between them (see `segments`).  Candidate links are the
-axis-aligned grid edges, all offsets within a small Chebyshev radius, and a
-wider 'rescue' search around small fragments; since a positive straight
-segment is itself a path inside the domain, extra candidates can only heal
-sampling artifacts, never merge genuinely distinct components.  The phases
-run in that order, and each merges the components the one before left.
+Grids sample cell centers of the requested window.  A slice and the box
+are one kind of grid, given by the sample coordinates `xs` of a, b and c; a
+slice's fixed coupling is one sample, an axis the grid's shape drops.  Both
+take one path: `_sample` (W, Q, P, membership), `_lift` (flat indices to
+points) and `_report` (labels, stats); `membership` is a one-sample grid.
+
+Component analysis never trusts endpoint membership alone: every candidate
+link between two member samples is accepted only if all three discriminants
+stay positive along the straight segment between them (see `segments`).
+Candidate links are the axis-aligned grid edges, all offsets within a small
+Chebyshev radius, and a wider 'rescue' search around small fragments; since
+a positive straight segment is itself a path inside the domain, extra
+candidates can only heal sampling artifacts, never merge genuinely distinct
+components.  The phases run in that order, and each merges the components
+the one before left.
 
 Sign classes.  Let s = 8 + c^2 - a^2, so W = s^2 - 4 (16 - (a + c)^2) b^2.
 No point with W > 0 and P > 0 has s = 0: there, with p = a + c, we get
@@ -112,6 +118,11 @@ class SliceSpec:
     def v_centers(self) -> np.ndarray:
         return grid_centers(self.v_range, self.resolution)
 
+    def abc(self, u, v) -> tuple:
+        """(a, b, c) with u and v on the free axes and the fixed coupling on its own."""
+        vals = {self.fixed_axis: self.fixed_value, self.u_axis: u, self.v_axis: v}
+        return vals["a"], vals["b"], vals["c"]
+
 
 @dataclass(frozen=True)
 class BoxSpec:
@@ -140,6 +151,11 @@ class BoxSpec:
             raise InvalidInputError(f"factors must be a nonempty subset of W,Q,P, got {self.factors}")
 
 
+def _slice_xs(spec: SliceSpec, u, v) -> list:
+    """Sample coordinates of a, b and c on a slice; the fixed coupling is one sample."""
+    return [np.atleast_1d(np.asarray(x, float)) for x in spec.abc(u, v)]
+
+
 @dataclass
 class SliceGrid:
     spec: SliceSpec
@@ -150,10 +166,12 @@ class SliceGrid:
     P: np.ndarray
     membership: np.ndarray
 
+    @property
+    def xs(self) -> list:
+        return _slice_xs(self.spec, self.u, self.v)
+
     def point(self, i: int, j: int) -> tuple:
-        vals = {self.spec.fixed_axis: self.spec.fixed_value,
-                self.spec.u_axis: self.u[i], self.spec.v_axis: self.v[j]}
-        return (vals["a"], vals["b"], vals["c"])
+        return self.spec.abc(self.u[i], self.v[j])
 
 
 @dataclass
@@ -168,6 +186,8 @@ class ComponentStats:
 class ComponentReport:
     """Labels and per-component stats.
 
+    `labels` has the grid's shape: component ids in row-major first-seen
+    order on the members, -1 elsewhere (everywhere if there are none).
     `lower_bound` is the number of sign classes holding a member sample, a
     proven lower bound on the number of components; `certified` is
     `count == lower_bound`.  Both are None where the classes do not apply
@@ -175,7 +195,7 @@ class ComponentReport:
     """
 
     count: int
-    labels: Optional[np.ndarray]
+    labels: np.ndarray
     components: list = field(default_factory=list)
     lower_bound: Optional[int] = None
     certified: Optional[bool] = None
@@ -205,21 +225,13 @@ def membership(p: PointLike, eta: float = 0.0, mode: Mode = Mode.STRICT_SIMPLE) 
     points numerically on a boundary do not count as inside.  RealOnly
     additionally admits points that fail only the W test, with W >= -eta up
     to the same guard, whenever the eigenvalue oracle reports a real
-    (possibly degenerate) spectrum there.
+    (possibly degenerate) spectrum there.  This is `_sample` on a grid of
+    one sample.
     """
     if eta < 0:
         raise InvalidInputError(f"eta must be >= 0, got {eta}")
-    p = as_point(p)
-    W = eval_w(p.a, p.b, p.c)
-    Q = eval_q(p.a, p.b, p.c)
-    P = eval_p(p.a, p.b, p.c)
-    guard = _boundary_guard(p.norm() ** 4)
-    strict = (W > eta + guard) and (Q > eta + guard) and (P > eta + guard)
-    if strict or mode is Mode.STRICT_SIMPLE:
-        return strict
-    if (Q > eta + guard) and (P > eta + guard) and (W <= eta + guard) and (W >= -eta - guard):
-        return bool(oracle.real_spectrum_batch(np.array([tuple(p)]))[0])
-    return False
+    xs = [np.array([x]) for x in as_point(p)]
+    return bool(_sample(xs, eta, mode)[3][0])
 
 
 def _membership_grid(Wg, Qg, Pg, n4g, eta, mode, points_fn, factors=("W", "Q", "P")):
@@ -239,6 +251,31 @@ def _membership_grid(Wg, Qg, Pg, n4g, eta, mode, points_fn, factors=("W", "Q", "
             pts = points_fn(idx)
             member.ravel()[idx] = oracle.real_spectrum_batch(pts)
     return member
+
+
+def _shape(xs) -> tuple:
+    """Grid shape of the axes `xs`: one-sample axes are dropped, (1,) if all are."""
+    return tuple(len(x) for x in xs if len(x) > 1) or (1,)
+
+
+def _lift(xs, flat_idx) -> np.ndarray:
+    """(n, 3) coupling points of flat sample indices into the grid of `xs`."""
+    out = np.empty((len(flat_idx), 3))
+    free = any(len(x) > 1 for x in xs)   # without a free axis, nothing to unravel
+    multi = iter(np.unravel_index(flat_idx, _shape(xs)) if free else ())
+    for k, x in enumerate(xs):
+        out[:, k] = x[next(multi)] if len(x) > 1 else x[0]
+    return out
+
+
+def _sample(xs, eta, mode, factors=segments.FACTOR_NAMES):
+    """(W, Q, P, membership) on the grid of `xs`, each of shape `_shape(xs)`."""
+    shape = _shape(xs)
+    A, B, C = np.ix_(*xs)
+    Wg, Qg, Pg = (f(A, B, C).reshape(shape) for f in (eval_w, eval_q, eval_p))
+    n4g = ((np.square(A) + np.square(B) + np.square(C)) ** 2).reshape(shape)
+    member = _membership_grid(Wg, Qg, Pg, n4g, eta, mode, lambda idx: _lift(xs, idx), factors)
+    return Wg, Qg, Pg, member
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +347,14 @@ def _sign_classes(pts: np.ndarray) -> np.ndarray:
 # connected components over sampled grids
 # ---------------------------------------------------------------------------
 
-def _half_offsets(nd, radius):
-    out = []
-    for off in product(*(range(-radius, radius + 1),) * nd):
-        if all(o == 0 for o in off):
-            continue
-        nz = next(o for o in off if o != 0)
-        if nz < 0:
-            continue
-        out.append(off)
-    return out
-
-
 def _full_offsets(nd, radius):
     return [off for off in product(*(range(-radius, radius + 1),) * nd)
             if any(o != 0 for o in off)]
+
+
+def _half_offsets(nd, radius):
+    """The offsets of `_full_offsets` whose first nonzero entry is positive."""
+    return [off for off in _full_offsets(nd, radius) if next(o for o in off if o) > 0]
 
 
 def _pair_indices(pair, off):
@@ -503,106 +533,44 @@ def _canonical_labels(labels: np.ndarray) -> np.ndarray:
     return out.reshape(labels.shape)
 
 
+def _report(member, xs, eta, mode, factors=segments.FACTOR_NAMES) -> ComponentReport:
+    """Label the members of the grid of `xs`; ids in row-major first-seen order."""
+    gc = _GridComponents(member, lambda idx: _lift(xs, idx), eta, mode, factors)
+    n, labels = gc.run()
+    lower, certified = gc.bound(n)
+    if labels is None:
+        return ComponentReport(count=0, labels=-np.ones(member.shape, np.int64),
+                               lower_bound=lower, certified=certified)
+    labels = _canonical_labels(labels)
+    free = [x for x in xs if len(x) > 1]
+    cell = np.prod([x[1] - x[0] for x in free])
+    stats = []
+    for k in range(n):
+        where = np.nonzero(labels == k)
+        bbox = tuple((float(x[i.min()]), float(x[i.max()])) for x, i in zip(free, where))
+        samples = len(where[0])
+        stats.append(ComponentStats(id=k, samples=samples, bbox=bbox,
+                                    area=float(samples * cell)))
+    return ComponentReport(count=n, labels=labels, components=stats,
+                           lower_bound=lower, certified=certified)
+
+
 def sample_slice(spec: SliceSpec) -> SliceGrid:
     """Evaluate discriminants and membership on the slice's cell centers."""
-    u = spec.u_centers()
-    v = spec.v_centers()
-    vals = {spec.fixed_axis: spec.fixed_value,
-            spec.u_axis: u[:, None], spec.v_axis: v[None, :]}
-    a, b, c = vals["a"], vals["b"], vals["c"]
-    shape = (spec.resolution, spec.resolution)
-    Wg = np.broadcast_to(eval_w(a, b, c), shape).copy()
-    Qg = np.broadcast_to(eval_q(a, b, c), shape).copy()
-    Pg = np.broadcast_to(eval_p(a, b, c), shape).copy()
-
-    def points_fn(flat_idx):
-        ii, jj = np.unravel_index(flat_idx, shape)
-        pts = {spec.u_axis: u[ii], spec.v_axis: v[jj],
-               spec.fixed_axis: np.full(len(flat_idx), spec.fixed_value)}
-        return np.stack([pts["a"], pts["b"], pts["c"]], axis=-1)
-
-    n4g = np.broadcast_to((np.square(a) + np.square(b) + np.square(c)) ** 2, shape)
-    member = _membership_grid(Wg, Qg, Pg, n4g, spec.eta, spec.mode, points_fn)
-    return SliceGrid(spec=spec, u=u, v=v, W=Wg, Q=Qg, P=Pg, membership=member)
-
-
-def _component_stats_2d(grid: SliceGrid, labels: np.ndarray) -> list:
-    stats = []
-    hu = grid.u[1] - grid.u[0] if len(grid.u) > 1 else 0.0
-    hv = grid.v[1] - grid.v[0] if len(grid.v) > 1 else 0.0
-    cell = hu * hv
-    count = labels.max() + 1 if labels is not None and labels.size else 0
-    for k in range(count):
-        ii, jj = np.nonzero(labels == k)
-        bbox = ((float(grid.u[ii.min()]), float(grid.u[ii.max()])),
-                (float(grid.v[jj.min()]), float(grid.v[jj.max()])))
-        stats.append(ComponentStats(id=k, samples=int(len(ii)), bbox=bbox,
-                                    area=float(len(ii) * cell)))
-    return stats
+    u, v = spec.u_centers(), spec.v_centers()
+    return SliceGrid(spec, u, v, *_sample(_slice_xs(spec, u, v), spec.eta, spec.mode))
 
 
 def components2d(grid: SliceGrid) -> ComponentReport:
     """Label the member samples of a slice; ids in row-major first-seen order."""
-    spec = grid.spec
-    shape = grid.membership.shape
-
-    def lift(flat_idx):
-        ii, jj = np.unravel_index(flat_idx, shape)
-        pts = {spec.u_axis: grid.u[ii], spec.v_axis: grid.v[jj],
-               spec.fixed_axis: np.full(len(np.atleast_1d(flat_idx)), spec.fixed_value)}
-        return np.stack([pts["a"], pts["b"], pts["c"]], axis=-1)
-
-    gc = _GridComponents(grid.membership, lift, spec.eta, spec.mode)
-    n, labels = gc.run()
-    lower, certified = gc.bound(n)
-    if labels is None:
-        return ComponentReport(count=0, labels=-np.ones(shape, np.int64),
-                               lower_bound=lower, certified=certified)
-    labels = _canonical_labels(labels)
-    return ComponentReport(count=n, labels=labels,
-                           components=_component_stats_2d(grid, labels),
-                           lower_bound=lower, certified=certified)
+    return _report(grid.membership, grid.xs, grid.spec.eta, grid.spec.mode)
 
 
 def components3d(box: BoxSpec) -> ComponentReport:
     """Label the member cells of a 3-D box; ids in row-major first-seen order."""
-    xs = [grid_centers(box.a_range, box.resolution),
-          grid_centers(box.b_range, box.resolution),
-          grid_centers(box.c_range, box.resolution)]
-    A = xs[0][:, None, None]
-    B = xs[1][None, :, None]
-    C = xs[2][None, None, :]
-    shape = (box.resolution,) * 3
-    Wg = np.broadcast_to(eval_w(A, B, C), shape)
-    Qg = np.broadcast_to(eval_q(A, B, C), shape)
-    Pg = np.broadcast_to(eval_p(A, B, C), shape)
-
-    def points_fn(flat_idx):
-        ii, jj, kk = np.unravel_index(flat_idx, shape)
-        return np.stack([xs[0][ii], xs[1][jj], xs[2][kk]], axis=-1)
-
-    n4g = np.broadcast_to((np.square(A) + np.square(B) + np.square(C)) ** 2, shape)
-    member = _membership_grid(Wg, Qg, Pg, n4g, box.eta, box.mode, points_fn,
-                              factors=box.factors)
-
-    gc = _GridComponents(member, points_fn, box.eta, box.mode, factors=box.factors)
-    n, labels = gc.run()
-    lower, certified = gc.bound(n)
-    if labels is None:
-        return ComponentReport(count=0, labels=None, lower_bound=lower, certified=certified)
-    labels = _canonical_labels(labels)
-    hs = [(r[1] - r[0]) / box.resolution for r in (box.a_range, box.b_range, box.c_range)]
-    cell = hs[0] * hs[1] * hs[2]
-    stats = []
-    for k in range(n):
-        ii, jj, kk = np.nonzero(labels == k)
-        bbox = ((float(xs[0][ii.min()]), float(xs[0][ii.max()])),
-                (float(xs[1][jj.min()]), float(xs[1][jj.max()])),
-                (float(xs[2][kk.min()]), float(xs[2][kk.max()])))
-        stats.append(ComponentStats(id=k, samples=int(len(ii)), bbox=bbox,
-                                    area=float(len(ii) * cell)))
-    return ComponentReport(count=n, labels=labels, components=stats,
-                           lower_bound=lower, certified=certified)
+    xs = [grid_centers(r, box.resolution) for r in (box.a_range, box.b_range, box.c_range)]
+    member = _sample(xs, box.eta, box.mode, box.factors)[3]
+    return _report(member, xs, box.eta, box.mode, box.factors)
 
 
 def grid_oracle_mismatches(grid: SliceGrid, margin: float = 1e-6) -> int:
@@ -614,13 +582,7 @@ def grid_oracle_mismatches(grid: SliceGrid, margin: float = 1e-6) -> int:
               & (np.abs(grid.P) > margin))
     strict = (grid.W > 0) & (grid.Q > 0) & (grid.P > 0)
     idx = np.nonzero(robust.ravel())[0]
-    shape = grid.membership.shape
-    spec = grid.spec
-    ii, jj = np.unravel_index(idx, shape)
-    pts = {spec.u_axis: grid.u[ii], spec.v_axis: grid.v[jj],
-           spec.fixed_axis: np.full(len(idx), spec.fixed_value)}
-    points = np.stack([pts["a"], pts["b"], pts["c"]], axis=-1)
-    agree = oracle.real_simple_batch(points) == strict.ravel()[idx]
+    agree = oracle.real_simple_batch(_lift(grid.xs, idx)) == strict.ravel()[idx]
     return int((~agree).sum())
 
 
@@ -654,23 +616,17 @@ def trace_boundary(source, factor: str, clip: bool = False):
         raise InvalidInputError(f"factor must be one of W, Q, P, got {factor!r}")
     grid = source if isinstance(source, SliceGrid) else sample_slice(source)
     spec = grid.spec
-    F = {"W": grid.W, "Q": grid.Q, "P": grid.P}[factor]
     u, v = grid.u, grid.v
-    res = spec.resolution
-    pos = F > 0.0
-
-    fixed = spec.fixed_value
+    pos = getattr(grid, factor) > 0.0
 
     def f_point(uu, vv):
-        vals = {spec.u_axis: uu, spec.v_axis: vv, spec.fixed_axis: fixed}
-        return _FACTOR_EVAL[factor](vals["a"], vals["b"], vals["c"])
+        return _FACTOR_EVAL[factor](*spec.abc(uu, vv))
 
     if clip:
         others = [n for n in segments.FACTOR_NAMES if n != factor]
-        keep = np.ones((res - 1, res - 1), bool)
+        keep = np.ones((len(u) - 1, len(v) - 1), bool)
         for name in others:
-            G = {"W": grid.W, "Q": grid.Q, "P": grid.P}[name]
-            okc = G > -spec.eta
+            okc = getattr(grid, name) > -spec.eta
             keep &= okc[:-1, :-1] & okc[1:, :-1] & okc[:-1, 1:] & okc[1:, 1:]
     else:
         keep = None
@@ -730,9 +686,6 @@ def trace_boundary(source, factor: str, clip: bool = False):
     vertex = {key: coords[k] for k, key in enumerate(keys)}
 
     # stitch segments into oriented chains
-    succ = {}
-    for key_in, key_out in raw_segments:
-        succ.setdefault(key_in, []).append(key_out)
     incoming = {}
     for key_in, key_out in raw_segments:
         incoming.setdefault(key_out, []).append(key_in)

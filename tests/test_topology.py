@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.sparse import csgraph
 from pt_horizon import (BoxSpec, CouplingPoint, InvalidInputError, Mode,
                         SliceSpec, components2d, components3d, membership,
                         sample_slice, segment_connected, trace_boundary)
-from pt_horizon import topology
+from pt_horizon import oracle, topology
 from pt_horizon.model import eval_p, eval_q, eval_w
 from pt_horizon.topology import (LINK_RADIUS, _canonical_labels, _edges_ok,
                                  _half_offsets, _offset_slices, _pair_indices,
@@ -484,3 +485,219 @@ class TestTraceBoundary:
         n_full = sum(len(c.polyline) for c in full)
         n_clip = sum(len(c.polyline) for c in clipped)
         assert n_clip <= n_full
+
+
+# ---------------------------------------------------------------------------
+# the per-dimension sampling, lifting and stats that the one N-D grid path
+# replaced, kept as the reference it reproduces
+# ---------------------------------------------------------------------------
+
+def _ref_membership(p, eta=0.0, mode=Mode.STRICT_SIMPLE):
+    p = CouplingPoint(*map(float, p))
+    W, Q, P = eval_w(p.a, p.b, p.c), eval_q(p.a, p.b, p.c), eval_p(p.a, p.b, p.c)
+    guard = topology._boundary_guard(p.norm() ** 4)
+    strict = (W > eta + guard) and (Q > eta + guard) and (P > eta + guard)
+    if strict or mode is Mode.STRICT_SIMPLE:
+        return strict
+    if (Q > eta + guard) and (P > eta + guard) and (W <= eta + guard) and (W >= -eta - guard):
+        return bool(oracle.real_spectrum_batch(np.array([tuple(p)]))[0])
+    return False
+
+
+def _ref_sample_slice(spec):
+    u = spec.u_centers()
+    v = spec.v_centers()
+    vals = {spec.fixed_axis: spec.fixed_value,
+            spec.u_axis: u[:, None], spec.v_axis: v[None, :]}
+    a, b, c = vals["a"], vals["b"], vals["c"]
+    shape = (spec.resolution, spec.resolution)
+    Wg = np.broadcast_to(eval_w(a, b, c), shape).copy()
+    Qg = np.broadcast_to(eval_q(a, b, c), shape).copy()
+    Pg = np.broadcast_to(eval_p(a, b, c), shape).copy()
+
+    def points_fn(flat_idx):
+        ii, jj = np.unravel_index(flat_idx, shape)
+        pts = {spec.u_axis: u[ii], spec.v_axis: v[jj],
+               spec.fixed_axis: np.full(len(flat_idx), spec.fixed_value)}
+        return np.stack([pts["a"], pts["b"], pts["c"]], axis=-1)
+
+    n4g = np.broadcast_to((np.square(a) + np.square(b) + np.square(c)) ** 2, shape)
+    member = topology._membership_grid(Wg, Qg, Pg, n4g, spec.eta, spec.mode, points_fn)
+    return topology.SliceGrid(spec=spec, u=u, v=v, W=Wg, Q=Qg, P=Pg, membership=member)
+
+
+def _ref_components2d(grid):
+    spec = grid.spec
+    shape = grid.membership.shape
+
+    def lift(flat_idx):
+        ii, jj = np.unravel_index(flat_idx, shape)
+        pts = {spec.u_axis: grid.u[ii], spec.v_axis: grid.v[jj],
+               spec.fixed_axis: np.full(len(np.atleast_1d(flat_idx)), spec.fixed_value)}
+        return np.stack([pts["a"], pts["b"], pts["c"]], axis=-1)
+
+    gc = topology._GridComponents(grid.membership, lift, spec.eta, spec.mode)
+    n, labels = gc.run()
+    lower, certified = gc.bound(n)
+    if labels is None:
+        return topology.ComponentReport(count=0, labels=-np.ones(shape, np.int64),
+                                        lower_bound=lower, certified=certified)
+    labels = _canonical_labels(labels)
+    cell = (grid.u[1] - grid.u[0]) * (grid.v[1] - grid.v[0])
+    stats = []
+    for k in range(n):
+        ii, jj = np.nonzero(labels == k)
+        bbox = ((float(grid.u[ii.min()]), float(grid.u[ii.max()])),
+                (float(grid.v[jj.min()]), float(grid.v[jj.max()])))
+        stats.append(topology.ComponentStats(id=k, samples=int(len(ii)), bbox=bbox,
+                                             area=float(len(ii) * cell)))
+    return topology.ComponentReport(count=n, labels=labels, components=stats,
+                                    lower_bound=lower, certified=certified)
+
+
+def _ref_components3d(box):
+    """(report, (W, Q, P, membership)); an empty box reports labels None."""
+    xs = [grid_centers(box.a_range, box.resolution),
+          grid_centers(box.b_range, box.resolution),
+          grid_centers(box.c_range, box.resolution)]
+    A = xs[0][:, None, None]
+    B = xs[1][None, :, None]
+    C = xs[2][None, None, :]
+    shape = (box.resolution,) * 3
+    Wg = np.broadcast_to(eval_w(A, B, C), shape)
+    Qg = np.broadcast_to(eval_q(A, B, C), shape)
+    Pg = np.broadcast_to(eval_p(A, B, C), shape)
+
+    def points_fn(flat_idx):
+        ii, jj, kk = np.unravel_index(flat_idx, shape)
+        return np.stack([xs[0][ii], xs[1][jj], xs[2][kk]], axis=-1)
+
+    n4g = np.broadcast_to((np.square(A) + np.square(B) + np.square(C)) ** 2, shape)
+    member = topology._membership_grid(Wg, Qg, Pg, n4g, box.eta, box.mode, points_fn,
+                                       factors=box.factors)
+    gc = topology._GridComponents(member, points_fn, box.eta, box.mode, factors=box.factors)
+    n, labels = gc.run()
+    lower, certified = gc.bound(n)
+    if labels is None:
+        return topology.ComponentReport(count=0, labels=None, lower_bound=lower,
+                                        certified=certified), (Wg, Qg, Pg, member)
+    labels = _canonical_labels(labels)
+    hs = [(r[1] - r[0]) / box.resolution for r in (box.a_range, box.b_range, box.c_range)]
+    cell = hs[0] * hs[1] * hs[2]
+    stats = []
+    for k in range(n):
+        ii, jj, kk = np.nonzero(labels == k)
+        bbox = ((float(xs[0][ii.min()]), float(xs[0][ii.max()])),
+                (float(xs[1][jj.min()]), float(xs[1][jj.max()])),
+                (float(xs[2][kk.min()]), float(xs[2][kk.max()])))
+        stats.append(topology.ComponentStats(id=k, samples=int(len(ii)), bbox=bbox,
+                                             area=float(len(ii) * cell)))
+    return topology.ComponentReport(count=n, labels=labels, components=stats,
+                                    lower_bound=lower, certified=certified), (Wg, Qg, Pg, member)
+
+
+def _ref_half_offsets(nd, radius):
+    out = []
+    for off in itertools.product(*(range(-radius, radius + 1),) * nd):
+        if all(o == 0 for o in off):
+            continue
+        nz = next(o for o in off if o != 0)
+        if nz < 0:
+            continue
+        out.append(off)
+    return out
+
+
+def _assert_same_report(rep, ref, area_rtol=0.0):
+    assert (rep.count, rep.lower_bound, rep.certified) == \
+        (ref.count, ref.lower_bound, ref.certified)
+    assert rep.labels.dtype == ref.labels.dtype
+    assert np.array_equal(rep.labels, ref.labels)
+    assert len(rep.components) == len(ref.components)
+    for s, r in zip(rep.components, ref.components):
+        assert (s.id, s.samples, s.bbox) == (r.id, r.samples, r.bbox)
+        if area_rtol:
+            assert abs(s.area - r.area) <= area_rtol * abs(r.area)
+        else:
+            assert s.area == r.area
+
+
+# the a and c window perfbench's workloads.windows(7, 300) gives the sweep,
+# whose b = sqrt5 - 1 slice splits into three components there
+SEED7_WINDOW_300 = dict(u_range=(-3.596997708801488, 3.603002291198512),
+                        v_range=(-3.5933835434341153, 3.606616456565885))
+
+REFERENCE_SLICES = [
+    SliceSpec("b", 0.0, resolution=200),
+    SliceSpec("b", 0.0, resolution=200, mode=Mode.REAL_ONLY),
+    SliceSpec("c", 0.0, resolution=200),
+    SliceSpec("a", 0.5, resolution=160),
+    SliceSpec("b", 0.1, resolution=200, eta=1e-4),
+    SliceSpec("b", 1.0, resolution=160, mode=Mode.REAL_ONLY),
+    SliceSpec("b", math.sqrt(5) - 0.01, resolution=64),
+    SliceSpec("b", math.sqrt(5) - 1, resolution=300, **SEED7_WINDOW_300),
+]
+
+
+class TestOneGridPath:
+    @pytest.mark.parametrize("spec", REFERENCE_SLICES,
+                             ids=["b0", "b0-real", "c0", "a0.5", "b0.1-eta", "b1-real",
+                                  "b-sqrt5-0.01", "b-sqrt5-1-seed7"])
+    def test_slice_matches_reference(self, spec):
+        grid, ref_grid = sample_slice(spec), _ref_sample_slice(spec)
+        for name in ("u", "v", "W", "Q", "P", "membership"):
+            got, want = getattr(grid, name), getattr(ref_grid, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        _assert_same_report(components2d(grid), _ref_components2d(ref_grid))
+        assert grid_oracle_mismatches(grid) == grid_oracle_mismatches(ref_grid)
+
+    @pytest.mark.parametrize("box", [
+        BoxSpec(resolution=48),
+        BoxSpec(resolution=48, **SEED4_WINDOW_48),
+        BoxSpec(resolution=32, mode=Mode.REAL_ONLY),
+        BoxSpec(resolution=32, factors=("Q", "P")),
+    ], ids=["box48", "box48-seed4", "box32-real", "box32-QP"])
+    def test_box_matches_reference(self, box):
+        ref, ref_samples = _ref_components3d(box)
+        xs = [grid_centers(r, box.resolution) for r in (box.a_range, box.b_range, box.c_range)]
+        samples = topology._sample(xs, box.eta, box.mode, box.factors)
+        for name, got, want in zip("WQPM", samples, ref_samples):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        # the cell volume is now taken from the sample spacing, not the range
+        _assert_same_report(components3d(box), ref, area_rtol=1e-12)
+
+    def test_empty_box_has_labels(self):
+        rep = components3d(BoxSpec(a_range=(5, 6), resolution=32))
+        assert rep.count == 0 and rep.components == []
+        assert rep.labels.shape == (32, 32, 32)
+        assert rep.labels.dtype == np.int64 and (rep.labels == -1).all()
+        assert _ref_components3d(BoxSpec(a_range=(5, 6), resolution=32))[0].count == 0
+
+    def test_membership_is_a_one_sample_grid(self):
+        gen = np.random.default_rng(3)
+        pts = gen.uniform(-3.6, 3.6, (2000, 3)) * np.array([1.0, 2.3 / 3.6, 1.0])
+        # next to the pinch (sqrt 8, 0, 0), where W touches zero
+        r8 = math.sqrt(8)
+        near = [(r8 + d, db, dc) for d in (-1e-9, 0.0, 1e-9, 1e-6)
+                for db in (0.0, 1e-8) for dc in (0.0, -1e-9, 1e-7, 1e-3, -1e-3)]
+        for p in [*map(tuple, pts), *near, (r8, 0, 0), (0, 0, 0)]:
+            for mode in Mode:
+                for eta in (0.0, 1e-6):
+                    got = membership(p, eta, mode)
+                    assert got is _ref_membership(p, eta, mode), (p, mode, eta)
+
+    def test_lift_without_free_axis(self):
+        xs = [np.array([0.5]), np.array([-1.0]), np.array([2.0])]
+        assert topology._shape(xs) == (1,)
+        assert np.array_equal(topology._lift(xs, np.array([0, 0])),
+                              [[0.5, -1.0, 2.0], [0.5, -1.0, 2.0]])
+
+    def test_point_matches_lift(self):
+        grid = sample_slice(SliceSpec("a", 0.5, resolution=16))
+        flat = np.ravel_multi_index((3, 11), grid.membership.shape)
+        assert np.array_equal(grid.point(3, 11), topology._lift(grid.xs, np.array([flat]))[0])
+
+    @pytest.mark.parametrize("nd", [2, 3])
+    @pytest.mark.parametrize("radius", [LINK_RADIUS, topology.RESCUE_RADIUS])
+    def test_half_offsets_unchanged(self, nd, radius):
+        assert _half_offsets(nd, radius) == _ref_half_offsets(nd, radius)
