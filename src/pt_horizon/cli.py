@@ -20,7 +20,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class RunConfig:
     box: bool = False
     factors: Optional[tuple] = None  # None: the box's own default
     out: Optional[str] = None
-    svg: Optional[str] = None
+    svg: Union[str, bool, None] = None  # slice: the SVG path; sweep: whether to write SVGs
     b_list: tuple = DEFAULT_SWEEP_B
     seed: int = identities.DEFAULT_SEED
     as_json: bool = False
@@ -119,9 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_point_flags(p):
-        p.add_argument("--a", type=float, required=True)
-        p.add_argument("--b", type=float, required=True)
-        p.add_argument("--c", type=float, required=True)
+        for axis in topology.AXES:
+            p.add_argument(f"--{axis}", type=float, required=True)
 
     def add_grid_flags(p):
         p.add_argument("--range", action="append", default=[], metavar="AXIS=MIN:MAX")
@@ -167,32 +166,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    for name in ("a", "b", "c", "eta", "out", "svg", "seed"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name if name != "svg" else "svg", getattr(args, name))
-    if getattr(args, "res", None) is not None:
-        cfg.resolution = args.res
-    if getattr(args, "mode", None):
-        cfg.mode = topology.Mode.REAL_ONLY if args.mode == "real" else topology.Mode.STRICT_SIMPLE
-    if getattr(args, "json", False):
-        cfg.as_json = True
-    if getattr(args, "box", False):
-        cfg.box = True
-    if getattr(args, "fix", None):
-        cfg.fix_axis, cfg.fix_value = _parse_fix(args.fix)
-    for spec in getattr(args, "range", []) or []:
-        axis, rng = _parse_range(spec)
-        cfg.ranges[axis] = rng
-    if getattr(args, "factors", None) is not None:
-        cfg.factors = tuple(f.strip().upper() for f in args.factors.split(",") if f.strip())
-    if getattr(args, "b_list", None):
+    """The run configuration of parsed flags; a field whose flag the
+    subcommand lacks or leaves unset keeps `RunConfig`'s default."""
+    opts = {name: value for name, value in vars(args).items() if value is not None}
+    same_name = ("subcommand", "a", "b", "c", "eta", "out", "svg", "seed", "box")
+    cfg = RunConfig(**{name: opts[name] for name in same_name if name in opts},
+                    resolution=opts.get("res"), as_json=opts.get("json", False))
+    if "mode" in opts:
+        cfg.mode = topology.Mode(opts["mode"])
+    if opts.get("fix"):
+        cfg.fix_axis, cfg.fix_value = _parse_fix(opts["fix"])
+    cfg.ranges = dict(_parse_range(spec) for spec in opts.get("range", []))
+    if "factors" in opts:
+        cfg.factors = tuple(f.strip().upper() for f in opts["factors"].split(",") if f.strip())
+    if opts.get("b_list"):
         try:
-            cfg.b_list = tuple(float(x) for x in args.b_list.split(","))
+            cfg.b_list = tuple(float(x) for x in opts["b_list"].split(","))
         except ValueError as exc:
             raise InvalidInputError(f"--b-list expects comma-separated floats") from exc
-    if getattr(args, "svg", None) and args.subcommand == "sweep":
-        cfg.svg = "yes"
     for name in ("a", "b", "c", "eta"):
         v = getattr(cfg, name)
         if not math.isfinite(v):

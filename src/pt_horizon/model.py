@@ -6,8 +6,12 @@ entry `a` on top of the nearest-neighbour couplings `b` (outer bonds) and
 the three discriminants W, Q, P are simultaneously positive, which is what
 everything else in this package samples, certifies, and maps.
 
-All polynomial evaluators accept Python ints (exact), floats, or numpy
-arrays, and are safe for concurrent use (no shared state).
+All polynomial evaluators accept Python ints and Fractions (exact), floats,
+numpy arrays, exact polynomials in t (`segments.RationalPoly`: a form at
+three lines is its exact restriction to them) and magnitudes, whose
+subtraction adds (`segments.magnitude`: the bound of the form's rounding).
+Each form is written out here only.  They keep no shared state, so they are
+safe for concurrent use.
 """
 from __future__ import annotations
 

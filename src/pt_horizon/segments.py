@@ -23,19 +23,144 @@ stages, each run only on the segments the one before left open:
    band around the threshold, the decision is replayed in exact rational
    arithmetic (floats are dyadic rationals, so the restriction coefficients
    are exactly representable) with a Sturm root count.
+
+Every stage evaluates the one definition of each factor in `model`: floats
+for the samples, `RationalPoly` lines for the exact restriction, and
+`magnitude` (every subtraction made an addition) for the rounding margin.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from itertools import product, zip_longest
+from math import comb, prod
 
 import numpy as np
 
-from .model import eval_p, eval_q, eval_w
+from .model import eval_p, eval_q, eval_w, w_b0_square_root_term
 
-FACTOR_NAMES = ("W", "Q", "P")
+# The one table of the factors' forms; `topology._FACTOR_EVAL` is this dict.
+FACTOR_FORMS = {"W": eval_w, "Q": eval_q, "P": eval_p}
+FACTOR_NAMES = tuple(FACTOR_FORMS)
 
 NODES = tuple(Fraction(i, 4) for i in range(5))
+
+
+def _form(name: str):
+    """The model form of factor `name`, or ValueError for an unknown name."""
+    try:
+        return FACTOR_FORMS[name]
+    except KeyError:
+        raise ValueError(f"unknown factor {name!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# number types the model's forms evaluate on, besides floats
+# ---------------------------------------------------------------------------
+
+class RationalPoly(tuple):
+    """A polynomial in t: its ascending `Fraction` coefficients, without zero
+    leading terms (the zero polynomial is (0,)).
+
+    `+ - * **` take polynomials and rationals, so a model form evaluated at
+    three lines p0 + t (p1 - p0) is the form's exact restriction to them.
+    """
+
+    def __new__(cls, coeffs):
+        c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs] or [Fraction(0)]
+        while len(c) > 1 and c[-1] == 0:
+            c.pop()
+        return super().__new__(cls, c)
+
+    @staticmethod
+    def _of(x):
+        return x if isinstance(x, RationalPoly) else RationalPoly((x,))
+
+    def __bool__(self):
+        return any(self)
+
+    def __add__(self, other):
+        pairs = zip_longest(self, RationalPoly._of(other), fillvalue=0)
+        return RationalPoly(x + y for x, y in pairs)
+
+    def __neg__(self):
+        return RationalPoly(-x for x in self)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = RationalPoly._of(other)
+        out = [Fraction(0)] * (len(self) + len(other) - 1)
+        for (i, x), (j, y) in product(enumerate(self), enumerate(other)):
+            if x and y:
+                out[i + j] += x * y
+        return RationalPoly(out)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        return prod([self] * k, start=RationalPoly((1,)))
+
+    def __call__(self, x):
+        return reduce(lambda v, coef: v * x + coef, reversed(self), Fraction(0))
+
+    def derivative(self):
+        return RationalPoly(i * c for i, c in enumerate(self) if i)
+
+    def __divmod__(self, q):
+        """Quotient and remainder of the long division by q."""
+        if not q:
+            raise ZeroDivisionError("polynomial division by zero")
+        r = list(self)
+        quo = [Fraction(0)] * max(1, len(r) - len(q) + 1)
+        while len(r) >= len(q) and any(r):
+            shift = len(r) - len(q)
+            quo[shift] = f = r[-1] / q[-1]
+            for i, y in enumerate(q):
+                r[shift + i] -= f * y
+            r = list(RationalPoly(r))
+        return RationalPoly(quo), RationalPoly(r)
+
+
+class _Magnitude:
+    """A value whose subtraction adds and whose constants count as |k|."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __add__(self, other):
+        return _Magnitude(self.v + (other.v if isinstance(other, _Magnitude) else abs(other)))
+
+    def __mul__(self, other):
+        return _Magnitude(self.v * (other.v if isinstance(other, _Magnitude) else abs(other)))
+
+    def __pow__(self, k: int):
+        return _Magnitude(self.v ** k)
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+
+
+def magnitude(form, *args):
+    """`form` at the nonnegative `args` with every subtraction made an
+    addition: it bounds |form| wherever each |argument| is at most args[i],
+    and it is the size that rounding errors of the form's float evaluation
+    are proportional to (Higham, ch. 3).  `args` are floats, arrays or
+    polynomials in r.
+    """
+    return form(*map(_Magnitude, args)).v
+
+
+# Descending coefficients in r of each form's magnitude at |a| = |b| = |c| = r,
+# expanded once: W 64 + 96 r^2 + 20 r^4, Q 9 + 24 r + 28 r^2 + 16 r^3 + 4 r^4,
+# P 10 + 4 r^2.
+_MAGNITUDE = {form: np.array(magnitude(form, *[RationalPoly((0, 1))] * 3)[::-1], float)
+              for form in FACTOR_FORMS.values()}
 
 
 def _exact_inverse(M):
@@ -54,12 +179,8 @@ def _exact_inverse(M):
     return [row[n:] for row in A]
 
 
-def _as_float(M):
-    return np.array([[float(x) for x in row] for row in M])
-
-
 # samples at NODES -> ascending monomial coefficients
-VINV = _as_float(_exact_inverse([[t ** k for k in range(5)] for t in NODES]))
+VINV = np.array(_exact_inverse([[t ** k for k in range(5)] for t in NODES]), float)
 
 # samples at NODES -> Bernstein coefficients of degree 4 on [0, 1]
 _BERN_INV = _exact_inverse([[comb(4, k) * t ** k * (1 - t) ** (4 - k) for k in range(5)]
@@ -92,11 +213,13 @@ _BLOCK = 8192
 
 # Rounding margin of the certificate, derived for round-to-nearest doubles
 # (unit roundoff u = 2^-53).  For one segment let R be its largest
-# |coordinate| and M = factor_magnitude(name, R):
+# |coordinate| and M = factor_magnitude(name, R): the model form with every
+# subtraction made an addition, at |a| = |b| = |c| = R (`magnitude`):
 #   * each evaluation point p0 + t (p1 - p0) is off by <= 5u R per coordinate
 #     (three roundings); a degree <= 4 polynomial bounded termwise by M moves
 #     by <= 4 M (5u R) / R = 20u M under that (Euler's identity);
-#   * `factor_values` is at most 6 operations deep: gamma_6 M ~ 6u M;
+#   * `factor_values` evaluates the same model form, at most 6 operations
+#     deep: gamma_6 M ~ 6u M (Higham, ch. 3);
 #   so every sample is within 27u M of the exact value (O(u^2) included);
 #   * `bernstein_interior` weighs the samples by rows of B^-1, so sample
 #     errors grow by at most its largest absolute row sum, the sum over paths
@@ -112,31 +235,20 @@ _BLOCK = 8192
 _CERT_UNITS = 40.0 * BERN_ROWSUM * 2.0 ** -53
 
 
-_FACTOR_FORMS = {"W": eval_w, "Q": eval_q, "P": eval_p}
-
-
 def factor_values(name: str, a, b, c):
     """The float value of factor `name`, by its one definition in `model`."""
-    if name not in _FACTOR_FORMS:
-        raise ValueError(f"unknown factor {name!r}")
-    return _FACTOR_FORMS[name](a, b, c)
+    return _form(name)(a, b, c)
 
 
 def factor_magnitude(name: str, r):
-    """`factor_values` with every term made positive, at |a| = |b| = |c| = r.
+    """`factor_values` with every subtraction made an addition, at |a| = |b| =
+    |c| = r: the polynomial `_MAGNITUDE` holds, by Horner's rule.
 
     Throughout the cube |a|, |b|, |c| <= r it bounds |factor|, every
     intermediate of its evaluation, and r * |gradient|_1 / 4 (Euler's
     identity, degree <= 4).
     """
-    r2 = r * r
-    if name == "W":
-        return (8 + 2 * r2) ** 2 + 4 * (16 + 4 * r2) * r2
-    if name == "Q":
-        return ((r + 3) * (r + 1) + r2) ** 2
-    if name == "P":
-        return 10 + 4 * r2
-    raise ValueError(f"unknown factor {name!r}")
+    return np.polyval(_MAGNITUDE[_form(name)], r)
 
 
 def segment_radius(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
@@ -317,7 +429,7 @@ def segment_minimum(name: str, p0: np.ndarray, p1: np.ndarray, samples=None):
             q0, q1 = p0[special], p1[special]
             a0, c0 = q0[:, 0], q0[:, 2]
             da, dc = q1[:, 0] - a0, q1[:, 2] - c0
-            s0 = 8 + c0 * c0 - a0 * a0
+            s0 = w_b0_square_root_term(a0, c0)
             s1 = 2 * (c0 * dc - a0 * da)
             s2 = dc * dc - da * da
             v0, v1 = s0, s0 + s1 + s2
@@ -381,148 +493,38 @@ def segment_minimum(name: str, p0: np.ndarray, p1: np.ndarray, samples=None):
 # exact rational decision (fallback for the ambiguity band)
 # ---------------------------------------------------------------------------
 
-def _ptrim(p):
-    p = tuple(p)
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _iszero(p):
-    return len(p) == 1 and p[0] == 0
-
-
-def _padd(p, q):
-    n = max(len(p), len(q))
-    return _ptrim(tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                        for i in range(n)))
-
-
-def _psub(p, q):
-    return _padd(p, tuple(-x for x in q))
-
-
-def _pmul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                if qj:
-                    out[i + j] += pi * qj
-    return _ptrim(out)
-
-
-def _pscale(p, s):
-    return _ptrim(tuple(s * x for x in p))
-
-
-def _peval(p, x):
-    v = Fraction(0)
-    for coef in reversed(p):
-        v = v * x + coef
-    return v
-
-
-def _pderiv(p):
-    if len(p) == 1:
-        return (Fraction(0),)
-    return _ptrim(tuple(i * c for i, c in enumerate(p))[1:])
-
-
-def _pdivmod(p, q):
-    p = list(_ptrim(p))
-    q = _ptrim(q)
-    if _iszero(q):
-        raise ZeroDivisionError("polynomial division by zero")
-    dq = len(q) - 1
-    quo = [Fraction(0)] * max(1, len(p) - dq)
-    while len(p) - 1 >= dq and not (len(p) == 1 and p[0] == 0):
-        shift = len(p) - 1 - dq
-        f = Fraction(p[-1]) / q[-1]
-        quo[shift] += f
-        for i in range(len(q)):
-            p[shift + i] -= f * q[i]
-        p = list(_ptrim(p))
-        if len(p) - 1 < dq or (len(p) == 1 and p[0] == 0):
-            break
-    return _ptrim(quo), _ptrim(p)
-
-
-def _pgcd(p, q):
-    p, q = _ptrim(p), _ptrim(q)
-    while not _iszero(q):
-        _, r = _pdivmod(p, q)
-        p, q = q, r
-    if not _iszero(p) and p[-1] != 1:
-        p = _pscale(p, Fraction(1) / p[-1])
-    return p
-
-
-def exact_restriction(name: str, p0, p1):
-    """Exact ascending rational coefficients of the factor along the segment."""
-    a0, b0, c0 = (Fraction(float(x)) for x in p0)
-    a1, b1, c1 = (Fraction(float(x)) for x in p1)
-    A = _ptrim((a0, a1 - a0))
-    B = _ptrim((b0, b1 - b0))
-    C = _ptrim((c0, c1 - c0))
-    one = (Fraction(1),)
-
-    def const(k):
-        return (Fraction(k),)
-
-    A2, B2, C2 = _pmul(A, A), _pmul(B, B), _pmul(C, C)
-    if name == "W":
-        t1 = _padd(const(8), _psub(C2, A2))
-        AC = _padd(A, C)
-        t2 = _psub(const(16), _pmul(AC, AC))
-        return _psub(_pmul(t1, t1), _pscale(_pmul(t2, B2), Fraction(4)))
-    if name == "Q":
-        u = _psub(_pmul(_padd(A, const(3)), _psub(C, one)), B2)
-        v = _psub(_pmul(_psub(A, const(3)), _padd(C, one)), B2)
-        return _pmul(u, v)
-    if name == "P":
-        return _psub(const(10), _padd(A2, _padd(_pscale(B2, Fraction(2)), C2)))
-    raise ValueError(f"unknown factor {name!r}")
-
-
-def _sign(x):
-    return (x > 0) - (x < 0)
+def exact_restriction(name: str, p0, p1) -> RationalPoly:
+    """Exact ascending rational coefficients of the factor along the segment:
+    its model form evaluated at the lines p0 + t (p1 - p0)."""
+    ends = [(Fraction(float(x0)), Fraction(float(x1))) for x0, x1 in zip(p0, p1)]
+    return _form(name)(*(RationalPoly((x0, x1 - x0)) for x0, x1 in ends))
 
 
 def _distinct_roots_in_open_01(h) -> int:
     """Distinct real roots of h in (0, 1); assumes h(0) != 0 != h(1)."""
-    h = _ptrim(h)
     if len(h) == 1:
         return 0
-    g = _pgcd(h, _pderiv(h))
+    g, r = h, h.derivative()        # g: a greatest common divisor of h and h'
+    while r:
+        g, r = r, divmod(g, r)[1]
     if len(g) > 1:
-        h, rem = _pdivmod(h, g)
-        assert _iszero(rem)
-    chain = [h]
-    d = _pderiv(h)
-    if not _iszero(d):
-        chain.append(d)
-        while len(chain[-1]) > 1:
-            _, r = _pdivmod(chain[-2], chain[-1])
-            if _iszero(r):
-                break
-            chain.append(tuple(-x for x in r))
+        h, rem = divmod(h, g)
+        assert not rem
+    chain = [h, h.derivative()]         # the Sturm chain of the square-free h
+    while len(chain[-1]) > 1:
+        chain.append(-divmod(chain[-2], chain[-1])[1])
 
     def variations(x):
-        signs = [s for s in (_sign(_peval(p, x)) for p in chain) if s != 0]
-        return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+        signs = [v > 0 for v in (p(x) for p in chain) if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
 
     return variations(Fraction(0)) - variations(Fraction(1))
 
 
 def exact_positive_on_segment(name: str, p0, p1, eta: float) -> bool:
     """Exact: factor > eta at every t in [0, 1] along the segment."""
-    h = _psub(exact_restriction(name, p0, p1), (Fraction(float(eta)),))
-    if _iszero(h):
-        return False
-    if _peval(h, Fraction(0)) <= 0 or _peval(h, Fraction(1)) <= 0:
-        return False
-    return _distinct_roots_in_open_01(h) == 0
+    h = exact_restriction(name, p0, p1) - Fraction(float(eta))
+    return bool(h) and h(0) > 0 and h(1) > 0 and _distinct_roots_in_open_01(h) == 0
 
 
 # ---------------------------------------------------------------------------

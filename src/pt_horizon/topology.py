@@ -317,10 +317,11 @@ def _edges_ok(p0: np.ndarray, p1: np.ndarray, eta: float, mode: Mode,
 # Rounding bound of the float s = 8 + c*c - a*a (`w_b0_square_root_term`),
 # for round-to-nearest doubles (unit roundoff u = 2^-53): c*c passes through
 # three roundings (its product and both sums), 8 and a*a through two, so
-# |fl(s) - s| <= gamma_3 (8 + a^2 + c^2) with gamma_3 = 3u / (1 - 3u)
-# (Higham, ch. 3).  The bound below takes 4u times the float sum
-# 8 + a*a + c*c; that sum is at least (1 - gamma_3) times the exact one and
-# 4u (1 - gamma_3) > gamma_3, so a float |s| above it has the exact sign.
+# |fl(s) - s| <= gamma_3 S with gamma_3 = 3u / (1 - 3u) (Higham, ch. 3) and
+# S = 8 + c^2 + a^2, the same form with its subtraction made an addition
+# (`segments.magnitude`).  The bound below takes 4u times the float S; that
+# is at least (1 - gamma_3) times the exact one and 4u (1 - gamma_3) >
+# gamma_3, so a float |s| above it has the exact sign.
 _S_UNITS = 4.0 * 2.0 ** -53
 
 
@@ -335,8 +336,9 @@ def _sign_classes(pts: np.ndarray) -> np.ndarray:
     a, c = pts[:, 0], pts[:, 2]
     s = w_b0_square_root_term(a, c)
     neg = s < 0
-    for i in np.nonzero(np.abs(s) <= _S_UNITS * (8 + a * a + c * c))[0]:
-        exact = 8 + Fraction(float(c[i])) ** 2 - Fraction(float(a[i])) ** 2
+    bound = _S_UNITS * segments.magnitude(w_b0_square_root_term, np.abs(a), np.abs(c))
+    for i in np.nonzero(np.abs(s) <= bound)[0]:
+        exact = w_b0_square_root_term(Fraction(float(a[i])), Fraction(float(c[i])))
         if exact == 0:
             raise RuntimeError(f"member sample {tuple(pts[i])} lies on s = 0")
         neg[i] = exact < 0
@@ -590,7 +592,7 @@ def grid_oracle_mismatches(grid: SliceGrid, margin: float = 1e-6) -> int:
 # marching-squares boundary tracing
 # ---------------------------------------------------------------------------
 
-_FACTOR_EVAL = {"W": eval_w, "Q": eval_q, "P": eval_p}
+_FACTOR_EVAL = segments.FACTOR_FORMS
 
 # segment table: per case, list of (edge_in, edge_out); edges 0=bottom(j),
 # 1=right(i+1), 2=top(j+1), 3=left(i) of the square (i, j)-(i+1, j+1)

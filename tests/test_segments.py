@@ -4,11 +4,11 @@ from math import comb
 import numpy as np
 import pytest
 
-from pt_horizon import Mode, SliceSpec, sample_slice, segments
-from pt_horizon.segments import (VINV, bernstein_interior, bernstein_minimum,
+from pt_horizon import Mode, SliceSpec, model, sample_slice, segments, topology
+from pt_horizon.segments import (NODES, VINV, bernstein_interior, bernstein_minimum,
                                  certificate_margin, cubic_real_roots,
                                  exact_positive_on_segment,
-                                 exact_restriction, factor_positive_mask,
+                                 exact_restriction, factor_magnitude, factor_positive_mask,
                                  factor_values, minimum_decision,
                                  restriction_nodes, restriction_samples,
                                  segment_minimum, segment_radius)
@@ -442,3 +442,138 @@ class TestBlasFreeCertificate:
         for name in segments.FACTOR_NAMES:
             ok, m, arg = factor_positive_mask(name, p0, p1, 0.0)
             assert ok.all() and np.isnan(arg).all()
+
+
+# References: the hand-expanded rational restriction and the closed-form
+# magnitudes that the model's forms, evaluated on `RationalPoly` lines and on
+# `magnitude`, replace.
+
+def _ref_trim(p):
+    p = tuple(p)
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _ref_add(p, q):
+    n = max(len(p), len(q))
+    return _ref_trim(tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                           for i in range(n)))
+
+
+def _ref_sub(p, q):
+    return _ref_add(p, tuple(-x for x in q))
+
+
+def _ref_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        if pi:
+            for j, qj in enumerate(q):
+                if qj:
+                    out[i + j] += pi * qj
+    return _ref_trim(out)
+
+
+def _ref_scale(p, s):
+    return _ref_trim(tuple(s * x for x in p))
+
+
+def _reference_restriction(name, p0, p1):
+    a0, b0, c0 = (Fraction(float(x)) for x in p0)
+    a1, b1, c1 = (Fraction(float(x)) for x in p1)
+    A = _ref_trim((a0, a1 - a0))
+    B = _ref_trim((b0, b1 - b0))
+    C = _ref_trim((c0, c1 - c0))
+    one = (Fraction(1),)
+
+    def const(k):
+        return (Fraction(k),)
+
+    A2, B2, C2 = _ref_mul(A, A), _ref_mul(B, B), _ref_mul(C, C)
+    if name == "W":
+        t1 = _ref_add(const(8), _ref_sub(C2, A2))
+        AC = _ref_add(A, C)
+        t2 = _ref_sub(const(16), _ref_mul(AC, AC))
+        return _ref_sub(_ref_mul(t1, t1), _ref_scale(_ref_mul(t2, B2), Fraction(4)))
+    if name == "Q":
+        u = _ref_sub(_ref_mul(_ref_add(A, const(3)), _ref_sub(C, one)), B2)
+        v = _ref_sub(_ref_mul(_ref_sub(A, const(3)), _ref_add(C, one)), B2)
+        return _ref_mul(u, v)
+    return _ref_sub(const(10), _ref_add(A2, _ref_add(_ref_scale(B2, Fraction(2)), C2)))
+
+
+def _reference_magnitude(name, r):
+    r2 = r * r
+    if name == "W":
+        return (8 + 2 * r2) ** 2 + 4 * (16 + 4 * r2) * r2
+    if name == "Q":
+        return ((r + 3) * (r + 1) + r2) ** 2
+    return 10 + 4 * r2
+
+
+_MODEL_FORMS = {"W": model.eval_w, "Q": model.eval_q, "P": model.eval_p}
+
+
+class TestOneDefinition:
+    @pytest.mark.parametrize("name", segments.FACTOR_NAMES)
+    def test_exact_restriction_is_the_model_form(self, name):
+        gen = np.random.default_rng(18)
+        n = 3000
+        lo = np.array([-3.6, -2.3, -3.6])
+        p0 = gen.uniform(lo, -lo, (n, 3))
+        d = gen.normal(size=(n, 3)) * 10.0 ** gen.uniform(-6, 0.5, (n, 1))
+        d[: n // 3, 1] = 0.0            # zero b-steps
+        p0[n // 3: 2 * n // 3, 1] = 0.0  # segments in the b = 0 plane
+        d[n // 3: 2 * n // 3, 1] = 0.0
+        d[-10:] = 0.0                   # points
+        p1 = p0 + d
+        for k in range(n):
+            got = exact_restriction(name, tuple(p0[k]), tuple(p1[k]))
+            assert isinstance(got, tuple)
+            assert got == _reference_restriction(name, p0[k], p1[k])
+            assert all(type(x) is Fraction for x in got)
+            e0 = [Fraction(float(x)) for x in p0[k]]
+            e1 = [Fraction(float(x)) for x in p1[k]]
+            for t in NODES:
+                value = sum(coef * t ** j for j, coef in enumerate(got))
+                point = [x0 + t * (x1 - x0) for x0, x1 in zip(e0, e1)]
+                assert value == _MODEL_FORMS[name](*point)
+
+    @pytest.mark.parametrize("name", segments.FACTOR_NAMES)
+    def test_magnitude_is_the_closed_form(self, name):
+        gen = np.random.default_rng(19)
+        r = gen.uniform(0.0, 100.0, 10 ** 6)
+        got = factor_magnitude(name, r)
+        ref = _reference_magnitude(name, r)
+        assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+        # it bounds the factor throughout the cube, its corners included
+        u = gen.uniform(-1.0, 1.0, (3, len(r)))
+        u[:, : len(r) // 10] = np.sign(u[:, : len(r) // 10])
+        a, b, c = u * r
+        assert np.all(got >= np.abs(factor_values(name, a, b, c)))
+
+    @pytest.mark.parametrize("edges", ["b=0.1 res 400", "b=0 strict", "b=0 real", "c=0 strict"])
+    def test_closed_form_margin_gives_the_same_masks(self, monkeypatch, edges):
+        if edges == "b=0.1 res 400":
+            p0, p1 = _slice_axis_edges()
+        else:
+            axis, mode = edges[0], Mode(edges.split()[1])
+            p0, p1 = _axis_edges(SliceSpec(axis, 0.0, resolution=800, mode=mode),
+                                 members_only=True)
+        masks = [factor_positive_mask(name, p0, p1, 0.0) for name in segments.FACTOR_NAMES]
+        monkeypatch.setattr(segments, "factor_magnitude", _reference_magnitude)
+        for name, got in zip(segments.FACTOR_NAMES, masks):
+            ref = factor_positive_mask(name, p0, p1, 0.0)
+            assert np.array_equal(got[0], ref[0]), name
+            _assert_same_bits(got[1], ref[1])
+            _assert_same_bits(got[2], ref[2])
+
+    def test_one_table_and_one_unknown_name_error(self):
+        assert topology._FACTOR_EVAL is segments.FACTOR_FORMS
+        assert segments.FACTOR_NAMES == tuple(segments.FACTOR_FORMS)
+        for call in (lambda: factor_values("X", 0.0, 0.0, 0.0),
+                     lambda: factor_magnitude("X", 1.0),
+                     lambda: exact_restriction("X", (0, 0, 0), (1, 1, 1))):
+            with pytest.raises(ValueError, match="unknown factor 'X'"):
+                call()
