@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .model import PointLike, as_point, build_circular
-from .spectrum import SpectralClass, Spectrum, classify_values
+from .spectrum import (SpectralClass, Spectrum, classify_values, gap_tolerance,
+                       imag_tolerance)
 
 
 class QuarticPoly(NamedTuple):
@@ -114,13 +115,11 @@ def real_simple_batch(points: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     vals = eigenvalues_batch(build_circular_batch(points))
     rho = np.abs(vals).max(axis=1)
-    tol_im = 1e-9 * (1.0 + rho)
-    tol_gap = 1e-8 * (1.0 + rho)
-    is_real = np.all(np.abs(vals.imag) <= tol_im[:, None], axis=1)
+    is_real = np.all(np.abs(vals.imag) <= imag_tolerance(rho)[:, None], axis=1)
     diffs = np.abs(vals[:, :, None] - vals[:, None, :])
     diffs[:, np.arange(4), np.arange(4)] = np.inf
     min_gap = diffs.min(axis=(1, 2))
-    return is_real & (min_gap >= tol_gap)
+    return is_real & (min_gap >= gap_tolerance(rho))
 
 
 def real_spectrum_batch(points: np.ndarray) -> np.ndarray:
@@ -130,5 +129,4 @@ def real_spectrum_batch(points: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     vals = eigenvalues_batch(build_circular_batch(points))
     rho = np.abs(vals).max(axis=1)
-    tol_im = 1e-9 * (1.0 + rho)
-    return np.all(np.abs(vals.imag) <= tol_im[:, None], axis=1)
+    return np.all(np.abs(vals.imag) <= imag_tolerance(rho)[:, None], axis=1)

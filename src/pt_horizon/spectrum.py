@@ -36,20 +36,29 @@ def min_pairwise_gap(values: np.ndarray) -> float:
     return float(diffs[~np.eye(n, dtype=bool)].min())
 
 
+def imag_tolerance(rho):
+    """Largest |Im E| still read as real, at spectral radius `rho`."""
+    return 1e-9 * (1.0 + rho)
+
+
+def gap_tolerance(rho):
+    """Smallest eigenvalue gap read as simple, at spectral radius `rho`."""
+    return 1e-8 * (1.0 + rho)
+
+
 def classify_values(values) -> Spectrum:
     """Wrap raw eigenvalues in a classified Spectrum.
 
-    Complex if any imaginary part exceeds 1e-9*(1+rho); otherwise degenerate
-    if the smallest gap is below 1e-8*(1+rho), with rho the spectral radius.
+    Complex if any imaginary part exceeds `imag_tolerance(rho)`; otherwise
+    degenerate if the smallest gap is below `gap_tolerance(rho)`, with rho
+    the spectral radius.
     """
     values = np.asarray(values, dtype=complex).reshape(4)
     rho = float(np.max(np.abs(values)))
-    tol_im = 1e-9 * (1.0 + rho)
-    tol_gap = 1e-8 * (1.0 + rho)
     gap = min_pairwise_gap(values)
-    if np.any(np.abs(values.imag) > tol_im):
+    if np.any(np.abs(values.imag) > imag_tolerance(rho)):
         cls = SpectralClass.COMPLEX
-    elif gap < tol_gap:
+    elif gap < gap_tolerance(rho):
         cls = SpectralClass.REAL_DEGENERATE
     else:
         cls = SpectralClass.REAL_SIMPLE

@@ -11,11 +11,14 @@ _STYLES = {
 }
 
 
-def render_slice_svg(grid: SliceGrid, width: int = 720) -> str:
+WIDTH = 720  # pixels; the height follows the window's aspect
+
+
+def render_slice_svg(grid: SliceGrid) -> str:
     spec = grid.spec
     u0, u1 = spec.u_range
     v0, v1 = spec.v_range
-    scale = width / (u1 - u0)
+    scale = WIDTH / (u1 - u0)
     height = (v1 - v0) * scale
 
     def sx(u):
@@ -28,9 +31,9 @@ def render_slice_svg(grid: SliceGrid, width: int = 720) -> str:
     hu = (u1 - u0) / res
     hv = (v1 - v0) / res
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {WIDTH:.0f} {height:.0f}">',
+        f'<rect width="{WIDTH:.0f}" height="{height:.0f}" fill="#ffffff"/>',
         '<g fill="#7fb2d9" stroke="none">',
     ]
     ii, jj = grid.membership.nonzero()

@@ -594,13 +594,48 @@ def grid_oracle_mismatches(grid: SliceGrid, margin: float = 1e-6) -> int:
 
 _FACTOR_EVAL = segments.FACTOR_FORMS
 
-# segment table: per case, list of (edge_in, edge_out); edges 0=bottom(j),
-# 1=right(i+1), 2=top(j+1), 3=left(i) of the square (i, j)-(i+1, j+1)
-_MS_SEGMENTS = {
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
-    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-}
+# (edge_in, edge_out) of each case's segments, -1 in an unused slot.  The
+# edges of the square (i, j)-(i+1, j+1) are 0 bottom (j), 1 right (i+1),
+# 2 top (j+1) and 3 left (i); every segment has the positive corner it cuts
+# off on its right.  The saddles 5 and 10 hold their split for a centre
+# <= 0; a positive centre takes the reversed segments of the complementary
+# case.
+_MS_TABLE = np.full((16, 2, 2), -1)
+_MS_TABLE[[1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14], 0] = [
+    (3, 0), (0, 1), (3, 1), (1, 2), (0, 2), (3, 2),
+    (2, 3), (2, 0), (2, 1), (1, 3), (1, 0), (0, 3)]
+_MS_TABLE[5] = (3, 0), (1, 2)
+_MS_TABLE[10] = (0, 1), (2, 3)
+
+
+def _contour_segments(grid: SliceGrid, factor: str, clip: bool):
+    """(e_in, e_out) edge ids of the marching-squares segments of `factor`.
+
+    The edge from (i, j) to (i+1, j) has id 2 (i len(v) + j), the one from
+    (i, j) to (i, j+1) that id plus 1, so ids sort as (i, j, orientation).
+    """
+    spec, u, v = grid.spec, grid.u, grid.v
+    pos = (getattr(grid, factor) > 0.0).astype(np.intp)
+    case = pos[:-1, :-1] + 2 * pos[1:, :-1] + 4 * pos[1:, 1:] + 8 * pos[:-1, 1:]
+    cut = (case > 0) & (case < 15)
+    if clip:
+        for name in segments.FACTOR_NAMES:
+            if name != factor:
+                ok = getattr(grid, name) > -spec.eta
+                cut &= ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:]
+    i, j = np.nonzero(cut)
+    k = case[i, j]
+    table = _MS_TABLE[k]
+    saddle = np.nonzero((k == 5) | (k == 10))[0]
+    si, sj = i[saddle], j[saddle]
+    center = _FACTOR_EVAL[factor](*spec.abc(0.5 * (u[si] + u[si + 1]),
+                                            0.5 * (v[sj] + v[sj + 1])))
+    flip = saddle[~(center <= 0)]
+    table[flip] = _MS_TABLE[k[flip] ^ 15][:, :, ::-1]
+    square, slot = np.nonzero(table[:, :, 0] >= 0)
+    edge_offset = np.array([0, 2 * len(v) + 1, 2, 1])
+    ids = 2 * (i * len(v) + j)[square, None] + edge_offset[table[square, slot]]
+    return ids[:, 0], ids[:, 1]
 
 
 def trace_boundary(source, factor: str, clip: bool = False):
@@ -612,70 +647,34 @@ def trace_boundary(source, factor: str, clip: bool = False):
     every vertex sits on the zero set to within 1e-6 * (1 + |p|^4).  With
     `clip`, segments are kept only in squares where the other two factors
     exceed -eta at all four corners.
+
+    Segments are oriented, so each grid edge has at most one segment
+    entering it and at most one leaving it, and chains follow the one
+    successor of each edge.  Open chains come first, in ascending order of
+    their first edge (i, j, orientation); then each closed loop, from the
+    least edge not yet traced.
     """
     factor = factor.upper()
     if factor not in _FACTOR_EVAL:
         raise InvalidInputError(f"factor must be one of W, Q, P, got {factor!r}")
     grid = source if isinstance(source, SliceGrid) else sample_slice(source)
-    spec = grid.spec
-    u, v = grid.u, grid.v
-    pos = getattr(grid, factor) > 0.0
+    spec, u, v = grid.spec, grid.u, grid.v
+    e_in, e_out = _contour_segments(grid, factor, clip)
+    if not len(e_in):
+        return []
 
     def f_point(uu, vv):
         return _FACTOR_EVAL[factor](*spec.abc(uu, vv))
 
-    if clip:
-        others = [n for n in segments.FACTOR_NAMES if n != factor]
-        keep = np.ones((len(u) - 1, len(v) - 1), bool)
-        for name in others:
-            okc = getattr(grid, name) > -spec.eta
-            keep &= okc[:-1, :-1] & okc[1:, :-1] & okc[:-1, 1:] & okc[1:, 1:]
-    else:
-        keep = None
-
-    # edge key -> interpolated vertex; edges identified by (i, j, orientation)
-    # orientation 0: from (i, j) to (i+1, j); 1: from (i, j) to (i, j+1)
-    vert_t0 = {}
-    raw_segments = []
-    c0 = pos[:-1, :-1]
-    c1 = pos[1:, :-1]
-    c2 = pos[1:, 1:]
-    c3 = pos[:-1, 1:]
-    case = (c0.astype(int) + 2 * c1.astype(int) + 4 * c2.astype(int)
-            + 8 * c3.astype(int))
-    interesting = np.nonzero((case > 0) & (case < 15))
-    for i, j in zip(*interesting):
-        if keep is not None and not keep[i, j]:
-            continue
-        k = case[i, j]
-        if k in (5, 10):
-            center = f_point(0.5 * (u[i] + u[i + 1]), 0.5 * (v[j] + v[j + 1]))
-            if k == 5:
-                segs = [(3, 0), (1, 2)] if center <= 0 else [(3, 2), (1, 0)]
-            else:
-                segs = [(0, 1), (2, 3)] if center <= 0 else [(0, 3), (2, 1)]
-        else:
-            segs = _MS_SEGMENTS[k]
-        for e_in, e_out in segs:
-            key_in = _edge_key(i, j, e_in)
-            key_out = _edge_key(i, j, e_out)
-            raw_segments.append((key_in, key_out))
-            vert_t0.setdefault(key_in, None)
-            vert_t0.setdefault(key_out, None)
-
-    if not raw_segments:
-        return []
-
-    # resolve vertex coordinates with vectorized bisection along grid edges
-    keys = list(vert_t0.keys())
-    starts = np.empty((len(keys), 2))
-    ends = np.empty((len(keys), 2))
-    for k, (i, j, orient) in enumerate(keys):
-        starts[k] = (u[i], v[j])
-        ends[k] = (u[i + 1], v[j]) if orient == 0 else (u[i], v[j + 1])
+    # bisection along each crossed grid edge, from its lower end
+    ids = np.unique(np.concatenate([e_in, e_out]))
+    ij, orient = np.divmod(ids, 2)
+    i, j = np.divmod(ij, len(v))
+    starts = np.stack([u[i], v[j]], axis=1)
+    ends = np.stack([u[i + 1 - orient], v[j + orient]], axis=1)
     f_lo = f_point(starts[:, 0], starts[:, 1])
-    lo = np.zeros(len(keys))
-    hi = np.ones(len(keys))
+    lo = np.zeros(len(ids))
+    hi = np.ones(len(ids))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         pm = starts + mid[:, None] * (ends - starts)
@@ -685,64 +684,21 @@ def trace_boundary(source, factor: str, clip: bool = False):
         hi = np.where(same, hi, mid)
     t = 0.5 * (lo + hi)
     coords = starts + t[:, None] * (ends - starts)
-    vertex = {key: coords[k] for k, key in enumerate(keys)}
 
-    # stitch segments into oriented chains
-    incoming = {}
-    for key_in, key_out in raw_segments:
-        incoming.setdefault(key_out, []).append(key_in)
-
-    unused = {seg for seg in raw_segments}
+    succ = dict(zip(e_in.tolist(), e_out.tolist()))
     curves = []
-    seg_from = {}
-    for seg in raw_segments:
-        seg_from.setdefault(seg[0], []).append(seg)
-
-    def walk(start_seg):
-        chain = [start_seg[0], start_seg[1]]
-        unused.discard(start_seg)
-        while True:
-            nxts = [s for s in seg_from.get(chain[-1], []) if s in unused]
-            if not nxts:
-                break
-            seg = nxts[0]
-            unused.discard(seg)
-            chain.append(seg[1])
-            if chain[-1] == chain[0]:
-                break
-        return chain
-
-    # open chains first: start from vertices with no incoming unused segment
-    for seg in sorted(raw_segments):
-        if seg not in unused:
+    # open chains start at the edges no segment enters, loops at the least left
+    for e in np.setdiff1d(e_in, e_out).tolist() + np.sort(e_in).tolist():
+        if e not in succ:
             continue
-        has_incoming = any(s in unused for s in
-                           [(kin, seg[0]) for kin in incoming.get(seg[0], [])])
-        if not has_incoming:
-            chain = walk(seg)
-            closed = chain[0] == chain[-1]
-            pts = np.array([vertex[k] for k in chain])
-            curves.append(BoundaryCurve(factor=factor, polyline=pts, closed=closed))
-    # remaining are loops
-    while unused:
-        seg = sorted(unused)[0]
-        chain = walk(seg)
-        closed = chain[0] == chain[-1]
-        pts = np.array([vertex[k] for k in chain])
-        curves.append(BoundaryCurve(factor=factor, polyline=pts, closed=closed))
+        chain = [e]
+        while e in succ:
+            e = succ.pop(e)
+            chain.append(e)
+        curves.append(BoundaryCurve(factor=factor,
+                                    polyline=coords[np.searchsorted(ids, chain)],
+                                    closed=chain[0] == chain[-1]))
     return curves
-
-
-def _edge_key(i, j, edge):
-    # edges of square (i, j): 0 bottom (orient 0 at j), 1 right (orient 1 at i+1),
-    # 2 top (orient 0 at j+1), 3 left (orient 1 at i)
-    if edge == 0:
-        return (i, j, 0)
-    if edge == 1:
-        return (i + 1, j, 1)
-    if edge == 2:
-        return (i, j + 1, 0)
-    return (i, j, 1)
 
 
 def thread_count() -> int:

@@ -10,6 +10,7 @@ from pt_horizon import (BoxSpec, CouplingPoint, InvalidInputError, Mode,
                         SliceSpec, components2d, components3d, membership,
                         sample_slice, segment_connected, trace_boundary)
 from pt_horizon import oracle, topology
+from pt_horizon.cli import DEFAULT_SWEEP_B
 from pt_horizon.model import eval_p, eval_q, eval_w
 from pt_horizon.topology import (LINK_RADIUS, _canonical_labels, _edges_ok,
                                  _half_offsets, _offset_slices, _pair_indices,
@@ -441,6 +442,157 @@ class TestPhaseMerging:
             assert np.array_equal(i1, flat[sl1][pair]), off
 
 
+# ---------------------------------------------------------------------------
+# the per-square loop and dict stitching that trace_boundary replaced, kept
+# as the reference it reproduces
+# ---------------------------------------------------------------------------
+
+_REF_MS_SEGMENTS = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
+    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
+}
+
+
+def _ref_edge_key(i, j, edge):
+    if edge == 0:
+        return (i, j, 0)
+    if edge == 1:
+        return (i + 1, j, 1)
+    if edge == 2:
+        return (i, j + 1, 0)
+    return (i, j, 1)
+
+
+def _ref_trace_boundary(grid, factor, clip=False, saddles=None):
+    """The old trace_boundary; adds (case, centre <= 0) of each saddle to `saddles`."""
+    spec = grid.spec
+    u, v = grid.u, grid.v
+    pos = getattr(grid, factor) > 0.0
+    form = {"W": eval_w, "Q": eval_q, "P": eval_p}[factor]
+
+    def f_point(uu, vv):
+        return form(*spec.abc(uu, vv))
+
+    keep = None
+    if clip:
+        keep = np.ones((len(u) - 1, len(v) - 1), bool)
+        for name in "WQP":
+            if name != factor:
+                okc = getattr(grid, name) > -spec.eta
+                keep &= okc[:-1, :-1] & okc[1:, :-1] & okc[:-1, 1:] & okc[1:, 1:]
+    vert_t0 = {}
+    raw_segments = []
+    case = (pos[:-1, :-1].astype(int) + 2 * pos[1:, :-1].astype(int)
+            + 4 * pos[1:, 1:].astype(int) + 8 * pos[:-1, 1:].astype(int))
+    for i, j in zip(*np.nonzero((case > 0) & (case < 15))):
+        if keep is not None and not keep[i, j]:
+            continue
+        k = case[i, j]
+        if k in (5, 10):
+            center = f_point(0.5 * (u[i] + u[i + 1]), 0.5 * (v[j] + v[j + 1]))
+            if saddles is not None:
+                saddles.add((int(k), bool(center <= 0)))
+            if k == 5:
+                segs = [(3, 0), (1, 2)] if center <= 0 else [(3, 2), (1, 0)]
+            else:
+                segs = [(0, 1), (2, 3)] if center <= 0 else [(0, 3), (2, 1)]
+        else:
+            segs = _REF_MS_SEGMENTS[k]
+        for e_in, e_out in segs:
+            key_in, key_out = _ref_edge_key(i, j, e_in), _ref_edge_key(i, j, e_out)
+            raw_segments.append((key_in, key_out))
+            vert_t0.setdefault(key_in, None)
+            vert_t0.setdefault(key_out, None)
+    if not raw_segments:
+        return []
+
+    keys = list(vert_t0.keys())
+    starts = np.empty((len(keys), 2))
+    ends = np.empty((len(keys), 2))
+    for k, (i, j, orient) in enumerate(keys):
+        starts[k] = (u[i], v[j])
+        ends[k] = (u[i + 1], v[j]) if orient == 0 else (u[i], v[j + 1])
+    f_lo = f_point(starts[:, 0], starts[:, 1])
+    lo = np.zeros(len(keys))
+    hi = np.ones(len(keys))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        pm = starts + mid[:, None] * (ends - starts)
+        fm = f_point(pm[:, 0], pm[:, 1])
+        same = (fm > 0) == (f_lo > 0)
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    t = 0.5 * (lo + hi)
+    coords = starts + t[:, None] * (ends - starts)
+    vertex = {key: coords[k] for k, key in enumerate(keys)}
+
+    incoming = {}
+    for key_in, key_out in raw_segments:
+        incoming.setdefault(key_out, []).append(key_in)
+    unused = set(raw_segments)
+    seg_from = {}
+    for seg in raw_segments:
+        seg_from.setdefault(seg[0], []).append(seg)
+
+    def walk(start_seg):
+        chain = [start_seg[0], start_seg[1]]
+        unused.discard(start_seg)
+        while True:
+            nxts = [s for s in seg_from.get(chain[-1], []) if s in unused]
+            if not nxts:
+                break
+            unused.discard(nxts[0])
+            chain.append(nxts[0][1])
+            if chain[-1] == chain[0]:
+                break
+        return topology.BoundaryCurve(factor=factor, closed=chain[0] == chain[-1],
+                                      polyline=np.array([vertex[k] for k in chain]))
+
+    curves = []
+    for seg in sorted(raw_segments):
+        if seg in unused and not any((kin, seg[0]) in unused
+                                     for kin in incoming.get(seg[0], [])):
+            curves.append(walk(seg))
+    while unused:
+        curves.append(walk(sorted(unused)[0]))
+    return curves
+
+
+def _sweep_window(seed, res):
+    """The (a, c) ranges of the benchmark's sweep at `seed`: shifted by < h/2."""
+    shift = np.random.default_rng(seed).uniform(-0.5, 0.5, 3) if seed else np.zeros(3)
+    return [(lo + float(d) * (hi - lo) / res, hi + float(d) * (hi - lo) / res)
+            for d, (lo, hi) in zip(shift[[0, 2]], (topology.DEFAULT_RANGES["a"],
+                                                   topology.DEFAULT_RANGES["c"]))]
+
+
+TRACE_SLICES = [SliceSpec("b", b, *_sweep_window(seed, 300), resolution=300)
+                for seed in (0, 3, 7) for b in DEFAULT_SWEEP_B] + [
+    SliceSpec("b", 0.0, resolution=400),
+    SliceSpec("c", 0.0, resolution=400),
+    SliceSpec("b", 1.0, resolution=400),
+    SliceSpec("a", 0.5, resolution=300),
+    SliceSpec("b", 0.1, resolution=300, eta=1e-4),
+    # Q's crossing lines give this one a case-10 saddle with centre <= 0
+    SliceSpec("b", 0.0, *_sweep_window(3, 300), resolution=300),
+]
+
+
+@pytest.fixture(scope="module")
+def traced_slices():
+    """[(grid, factor, clip, reference curves)] over TRACE_SLICES, and the saddles seen."""
+    saddles = set()
+    traced = []
+    for spec in TRACE_SLICES:
+        grid = sample_slice(spec)
+        for factor in "WQP":
+            for clip in (False, True):
+                traced.append((grid, factor, clip,
+                               _ref_trace_boundary(grid, factor, clip, saddles)))
+    return traced, saddles
+
+
 class TestTraceBoundary:
     def test_p_circle(self):
         spec = SliceSpec("b", 1.5, resolution=200)
@@ -477,6 +629,27 @@ class TestTraceBoundary:
                     p = CouplingPoint(u, 0.3, v)
                     val = {"W": eval_w, "Q": eval_q, "P": eval_p}[factor](u, 0.3, v)
                     assert abs(val) < 1e-6 * (1 + p.norm() ** 4)
+
+    def test_matches_reference(self, traced_slices):
+        for grid, factor, clip, ref in traced_slices[0]:
+            curves = trace_boundary(grid, factor, clip)
+            assert len(curves) == len(ref), (grid.spec, factor, clip)
+            for got, want in zip(curves, ref):
+                assert (got.factor, got.closed) == (want.factor, want.closed)
+                assert got.polyline.dtype == want.polyline.dtype
+                assert np.array_equal(got.polyline, want.polyline)
+
+    def test_reference_set_covers_saddles_and_chain_kinds(self, traced_slices):
+        traced, saddles = traced_slices
+        assert saddles == {(5, True), (5, False), (10, True), (10, False)}
+        closed = {c.closed for *_, ref in traced for c in ref}
+        assert closed == {True, False}
+
+    def test_each_edge_entered_and_left_once(self, traced_slices):
+        for grid, factor, clip, _ in traced_slices[0]:
+            e_in, e_out = topology._contour_segments(grid, factor, clip)
+            assert len(np.unique(e_in)) == len(e_in)
+            assert len(np.unique(e_out)) == len(e_out)
 
     def test_clip_removes_far_segments(self):
         spec = SliceSpec("b", 0.0, resolution=128)
